@@ -469,9 +469,8 @@ def homology(c):
         if B.cols == 0:
             Y = Matrix.zeros(ring, K.cols, 0)
         else:
-            got = solve(K, B)
-            assert got is not None, "image must lie in the saturated kernel"
-            Y = got[0]
+            Y = solve(K, B)
+            assert Y is not None, "image must lie in the saturated kernel"
         if Y.cols == 0:
             rank_img = 0
             invf = []
@@ -560,10 +559,9 @@ def solve_null_homotopy(f, equation_degrees=None):
     rhs = rhs_blocks[0]
     for b in rhs_blocks[1:]:
         rhs = rhs.vstack(b)
-    got = solve(A, rhs)
-    if got is None:
+    part = solve(A, rhs)
+    if part is None:
         return Verdict(FAIL, reason="no null-homotopy exists")
-    part = got[0]
     comps = {}
     for d in order:
         m = Matrix.zeros(ring, tgt.term(d + hdeg).dim, src.term(d).dim)
@@ -680,10 +678,9 @@ def homotopy_inverse(f, equation_degrees=None):
     rhs = rhss[0]
     for b in rhss[1:]:
         rhs = rhs.vstack(b)
-    got = solve(A, rhs)
-    if got is None:
+    part = solve(A, rhs)
+    if part is None:
         return Verdict(FAIL, reason="no homotopy inverse")
-    part = got[0]
 
     def collect(gname, bases, src, tgt, deg):
         comps = {}
@@ -740,9 +737,9 @@ class SplitComplex:
 
 
 def _matrix_inverse(m):
-    got = solve(m, Matrix.identity(m.ring, m.rows))
-    assert got is not None, "matrix must be invertible"
-    return got[0]
+    inv = solve(m, Matrix.identity(m.ring, m.rows))
+    assert inv is not None, "matrix must be invertible"
+    return inv
 
 
 def split_complex(c):
@@ -1170,7 +1167,7 @@ def _coords_in_basis(ring, basis_mats, target):
                _trusted=True)
     got = solve(A, b)
     assert got is not None, "composite must lie in the intertwiner span"
-    return [got[0][i, 0] for i in range(A.cols)]
+    return [got[i, 0] for i in range(A.cols)]
 
 
 def hom_complex(c, d):

@@ -430,10 +430,9 @@ def _solve_homotopy_section(f):
     rhs = rhss[0]
     for b in rhss[1:]:
         rhs = rhs.vstack(b)
-    got = solve(A, rhs)
-    if got is None:
+    part = solve(A, rhs)
+    if part is None:
         return None
-    part = got[0]
     comps = {}
     for d in sorted(s_b):
         m = Matrix.zeros(ring, C.term(d).dim, D.term(d).dim)

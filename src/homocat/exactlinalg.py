@@ -6,10 +6,6 @@ anywhere.  Matrices are immutable, dense, row-major.
 
 from fractions import Fraction
 
-import numpy as np
-
-from . import _kernels
-
 
 class IntegerRingUnsupported(Exception):
     """Raised when a field-only operation is invoked over Z."""
@@ -237,13 +233,6 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
         ring = self.ring
-        if (ring.kind == "fp" and self.rows * other.cols * self.cols >= 512
-                and (ring.p - 1) ** 2 * max(1, self.cols) < 2**63):
-            a = np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
-            b = np.array(other.entries, dtype=np.int64).reshape(other.rows, other.cols)
-            c = _kernels.fp_matmul(a, b, ring.p)
-            return Matrix(ring, self.rows, other.cols,
-                          [int(x) for x in c.ravel()], _trusted=True)
         z = ring.zero()
         out = [z] * (self.rows * other.cols)
         oc = other.cols
@@ -376,13 +365,12 @@ def matrix_from_json(ring, obj):
 # -- row reduction over fields ------------------------------------------------
 
 class RrefResult:
-    __slots__ = ("rank", "pivots", "reduced", "kernel_basis")
+    __slots__ = ("rank", "pivots", "reduced")
 
-    def __init__(self, rank, pivots, reduced, kernel_basis):
+    def __init__(self, rank, pivots, reduced):
         self.rank = rank
         self.pivots = pivots
         self.reduced = reduced
-        self.kernel_basis = kernel_basis
 
 
 def _abs_key(ring, x):
@@ -393,54 +381,37 @@ def _abs_key(ring, x):
 
 
 def rref(m):
-    """Reduced row echelon form with kernel basis (columns); fields only."""
+    """Reduced row echelon form with its pivot columns; fields only."""
     ring = m.ring
     if not ring.is_field:
         raise IntegerRingUnsupported("rref requires a field; use hnf/snf over Z")
-    if (ring.kind == "fp" and m.rows * m.cols >= 256
-            and (ring.p - 1) ** 2 < 2**62):
-        a = np.array(m.entries, dtype=np.int64).reshape(m.rows, m.cols)
-        red, piv = _kernels.fp_rref(a, ring.p)
-        reduced = Matrix(ring, m.rows, m.cols,
-                         [int(x) for x in red.ravel()], _trusted=True)
-        pivots = list(piv)
-    else:
-        rowlists = m.tolists()
-        pivots = []
-        r = 0
-        for c in range(m.cols):
-            if r >= m.rows:
-                break
-            best, piv = None, None
-            for i in range(r, m.rows):
-                v = rowlists[i][c]
-                if v != 0:
-                    k = _abs_key(ring, v)
-                    if best is None or k < best:
-                        best, piv = k, i
-            if piv is None:
-                continue
-            rowlists[r], rowlists[piv] = rowlists[piv], rowlists[r]
-            inv = ring.inv(rowlists[r][c])
-            rowlists[r] = [ring.mul(inv, x) for x in rowlists[r]]
-            for i in range(m.rows):
-                if i != r and rowlists[i][c] != 0:
-                    f = rowlists[i][c]
-                    rowlists[i] = [ring.sub(x, ring.mul(f, y))
-                                   for x, y in zip(rowlists[i], rowlists[r])]
-            pivots.append(c)
-            r += 1
-        reduced = Matrix.from_rows(ring, rowlists) if m.rows else m
-    rank = len(pivots)
-    free = [c for c in range(m.cols) if c not in pivots]
-    z, o = ring.zero(), ring.one()
-    kb = [z] * (m.cols * len(free))
-    for k, fc in enumerate(free):
-        kb[fc * len(free) + k] = o
-        for r, pc in enumerate(pivots):
-            kb[pc * len(free) + k] = ring.neg(reduced[r, fc])
-    kernel = Matrix(ring, m.cols, len(free), kb, _trusted=True)
-    return RrefResult(rank, pivots, reduced, kernel)
+    rowlists = m.tolists()
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r >= m.rows:
+            break
+        best, piv = None, None
+        for i in range(r, m.rows):
+            v = rowlists[i][c]
+            if v != 0:
+                k = _abs_key(ring, v)
+                if best is None or k < best:
+                    best, piv = k, i
+        if piv is None:
+            continue
+        rowlists[r], rowlists[piv] = rowlists[piv], rowlists[r]
+        inv = ring.inv(rowlists[r][c])
+        rowlists[r] = [ring.mul(inv, x) for x in rowlists[r]]
+        for i in range(m.rows):
+            if i != r and rowlists[i][c] != 0:
+                f = rowlists[i][c]
+                rowlists[i] = [ring.sub(x, ring.mul(f, y))
+                               for x, y in zip(rowlists[i], rowlists[r])]
+        pivots.append(c)
+        r += 1
+    reduced = Matrix.from_rows(ring, rowlists) if m.rows else m
+    return RrefResult(len(pivots), pivots, reduced)
 
 
 # -- Hermite / Smith over Z ----------------------------------------------------
@@ -567,18 +538,26 @@ def snf(m):
 
 def kernel(m):
     """Basis of the right kernel as matrix columns; saturated over Z."""
-    if m.ring.is_field:
-        return rref(m).kernel_basis
+    ring = m.ring
+    if ring.is_field:
+        res = rref(m)
+        free = [c for c in range(m.cols) if c not in res.pivots]
+        kb = [ring.zero()] * (m.cols * len(free))
+        for k, fc in enumerate(free):
+            kb[fc * len(free) + k] = ring.one()
+            for r, pc in enumerate(res.pivots):
+                kb[pc * len(free) + k] = ring.neg(res.reduced[r, fc])
+        return Matrix(ring, m.cols, len(free), kb, _trusted=True)
     d, s, t = snf(m)
     n = min(m.rows, m.cols)
     free = [j for j in range(m.cols) if j >= n or d[j, j] == 0]
     if not free:
-        return Matrix.zeros(m.ring, m.cols, 0)
+        return Matrix.zeros(ring, m.cols, 0)
     return t.submatrix(range(m.cols), free)
 
 
 def solve(a, b):
-    """Solve a*x = b exactly; returns (particular, kernel_basis) or None.
+    """Solve a*x = b exactly; returns one particular solution or None.
 
     b may have several columns; the particular solution then has the same
     number of columns.  Over Z the solution is Diophantine-exact.
@@ -597,7 +576,7 @@ def solve(a, b):
         for r, pc in enumerate(res.pivots):
             for j in range(b.cols):
                 part[pc * b.cols + j] = res.reduced[r, a.cols + j]
-        return (Matrix(ring, a.cols, b.cols, part, _trusted=True), kernel(a))
+        return Matrix(ring, a.cols, b.cols, part, _trusted=True)
     d, s, t = snf(a)
     sb = s * b
     n = min(a.rows, a.cols)
@@ -615,5 +594,4 @@ def solve(a, b):
                     return None
                 if i < a.cols:
                     y[i * b.cols + j] = v // di
-    part = t * Matrix(ring, a.cols, b.cols, y, _trusted=True)
-    return part, kernel(a)
+    return t * Matrix(ring, a.cols, b.cols, y, _trusted=True)

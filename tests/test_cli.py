@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import homocat
 from homocat.cli import (
     main, run_scenario, emit_report, report_exit_code, SchemaViolation,
     cyclic_scenario, RINGS,
@@ -123,3 +128,19 @@ class TestObstructionsSubcommand:
         assert ids == {"obstruction_z", "obstruction_w", "cones_commute",
                        "self_obstruction"}
         assert all(r["status"] == "PASS" for r in report["checks"])
+
+
+def test_imports_only_the_standard_library():
+    """homocat has no runtime dependencies: importing the CLI, which imports
+    every module, loads nothing from outside the standard library."""
+    code = ("import json, sys; before = set(sys.modules); import homocat.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    src = str(Path(homocat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = json.loads(out)
+    assert "numpy" not in loaded
+    third_party = {n.split(".")[0] for n in loaded} \
+        - set(sys.stdlib_module_names) - {"homocat"}
+    assert not third_party
