@@ -392,18 +392,36 @@ def report_exit_code(report):
     return 0
 
 
+def _field(scenario, name, valid, expected):
+    value = scenario.get(name, DEFAULTS[name])
+    if not valid(value):
+        raise SchemaViolation(f"{name} must be {expected}, got {value!r}")
+    return value
+
+
+def _positive_int(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 def run_scenario(scenario, restrict_to=None):
     demo = scenario.get("demo")
     ring = scenario.get("ring", DEFAULTS["ring"])
     if ring not in RINGS:
         raise SchemaViolation(f"unknown ring {ring!r}")
-    seed = scenario.get("seed", DEFAULTS["seed"])
+    seed = _field(scenario, "seed",
+                  lambda v: isinstance(v, int) and not isinstance(v, bool),
+                  "an integer")
     if demo == "cyclic":
-        depth = scenario.get("depth", DEFAULTS["depth"])
-        edge = scenario.get("edge") or max(4, depth // 3)
-        order, applicable = _cyclic_checks(
-            ring, scenario.get("m", DEFAULTS["m"]), depth, edge, seed,
-            scenario.get("direction", DEFAULTS["direction"]))
+        m = _field(scenario, "m", _positive_int, "an integer >= 1")
+        depth = _field(scenario, "depth", _positive_int, "an integer >= 1")
+        edge = _field(scenario, "edge",
+                      lambda v: v is None or _positive_int(v),
+                      "null or an integer >= 1") or max(4, depth // 3)
+        direction = _field(scenario, "direction",
+                           lambda v: v in ("above", "below"),
+                           "'above' or 'below'")
+        order, applicable = _cyclic_checks(ring, m, depth, edge, seed,
+                                           direction)
     elif demo == "integers":
         order, applicable = _integers_checks(seed)
     elif demo == "mixed":

@@ -8,7 +8,7 @@ over the ground ring (Diophantine-exact over Z).
 """
 
 from .exactlinalg import (
-    Matrix, IntegerRingUnsupported, rref, solve, snf,
+    Matrix, IntegerRingUnsupported, rref, solve, kernel, snf,
     matrix_to_json, matrix_from_json,
 )
 from .modulecat import (
@@ -256,9 +256,10 @@ class ChainMap:
                 rhs = tgt.term(d + degree).x_action * m
                 if not (lhs - rhs).is_zero():
                     raise ValueError("component is not an intertwiner")
-            err = commutator_defect(self)
-            if err is not None:
-                raise ValueError(f"chain condition fails in degree {err}")
+            defect = bracket(self)
+            if not defect.is_zero():
+                raise ValueError(
+                    f"chain condition fails in degree {min(defect.comps)}")
 
     def comp(self, d):
         if d in self.comps:
@@ -303,18 +304,17 @@ class ChainMap:
         return f"ChainMap(deg={self.degree}, comps@{sorted(self.comps)})"
 
 
-def commutator_defect(f):
-    """First degree where [d, f] = d f - (-1)^k f d is nonzero, else None."""
+def bracket(f):
+    """[d, f] = d f - (-1)^{|f|} f d, one degree higher than f."""
     k = f.degree
     sgn = 1 if k % 2 == 0 else -1
-    lo = min(list(f.src.degrees()) + [0]) - 1
-    hi = max(list(f.src.degrees()) + [0]) + 1
-    for d in range(lo, hi + 1):
-        m = f.tgt.diff(d + k) * f.comp(d) - (f.comp(d + 1) * f.src.diff(d)
-                                             ).scale(sgn)
+    comps = {}
+    for d in range(f.src.min_deg - 1, f.src.max_deg + 2):
+        m = f.tgt.diff(d + k) * f.comp(d) \
+            - (f.comp(d + 1) * f.src.diff(d)).scale(sgn)
         if not m.is_zero():
-            return d
-    return None
+            comps[d] = m
+    return ChainMap(f.src, f.tgt, k + 1, comps, check=False)
 
 
 def identity_map(c):
@@ -463,8 +463,7 @@ def homology(c):
     for d in c.degrees():
         if c.term(d).dim == 0:
             continue
-        from .exactlinalg import kernel as zkernel
-        K = zkernel(c.diff(d))
+        K = kernel(c.diff(d))
         B = c.diff(d - 1)
         if B.cols == 0:
             Y = Matrix.zeros(ring, K.cols, 0)
@@ -499,6 +498,75 @@ def _hom_bases(src, tgt, degree):
     return bases
 
 
+class _Unknowns:
+    """Unknown graded maps in per-degree intertwiner coordinates.
+
+    groups: list of (name, src, tgt, degree).  Each basis element of each
+    component is one column; columns are ordered by group, then degree.
+    """
+
+    def __init__(self, ring, groups):
+        self.ring = ring
+        self.groups = {}
+        n = 0
+        for name, src, tgt, degree in groups:
+            bases = _hom_bases(src, tgt, degree)
+            cols = {}
+            for d in sorted(bases):
+                cols[d] = (n, bases[d])
+                n += len(bases[d])
+            self.groups[name] = (src, tgt, degree, cols)
+        self.ncols = n
+
+    def system(self, equations):
+        """(A, b) stacking the equations in order.
+
+        An equation (rows, cols, terms, rhs) says that the sum over its terms
+        (name, d, fn) of fn(component d of the unknown name), a rows x cols
+        matrix, equals rhs (None for zero); fn must be linear.  Empty
+        equations are dropped.
+        """
+        ring = self.ring
+        ncols = self.ncols
+        zero = ring.zero()
+        equations = [e for e in equations if e[0] * e[1]]
+        nrows = sum(rows * cols for rows, cols, _, _ in equations)
+        a = [zero] * (nrows * ncols)
+        b = []
+        for rows, cols, terms, rhs in equations:
+            nent = rows * cols
+            base = len(b) * ncols
+            for name, d, fn in terms:
+                off, basis = self.groups[name][3].get(d, (0, ()))
+                for bi, bm in enumerate(basis):
+                    col = slice(base + off + bi, base + nent * ncols, ncols)
+                    a[col] = map(ring.add, a[col], fn(bm).entries)
+            b.extend([zero] * nent if rhs is None else rhs.entries)
+        return (Matrix(ring, nrows, ncols, a, _trusted=True),
+                Matrix(ring, nrows, 1, b, _trusted=True))
+
+    def comps(self, name, x, j=0):
+        """Components {degree: Matrix} given by column j of x."""
+        src, tgt, degree, cols = self.groups[name]
+        ring = self.ring
+        zero = ring.zero()
+        out = {}
+        for d, (off, basis) in cols.items():
+            m = Matrix.zeros(ring, tgt.term(d + degree).dim, src.term(d).dim)
+            for bi, bm in enumerate(basis):
+                cval = x[off + bi, j]
+                if cval != zero:
+                    m = m + bm.scale(cval)
+            if not m.is_zero():
+                out[d] = m
+        return out
+
+
+def _in_window(d, equation_degrees):
+    return equation_degrees is None or \
+        equation_degrees[0] <= d <= equation_degrees[1]
+
+
 def solve_null_homotopy(f, equation_degrees=None):
     """Find h of degree |f|-1 with [d, h] = d h - (-1)^{|h|} h d = f.
 
@@ -511,81 +579,23 @@ def solve_null_homotopy(f, equation_degrees=None):
     k = f.degree
     hdeg = k - 1
     sgn = ring.coerce(-1 if hdeg % 2 == 0 else 1)  # -(-1)^{|h|}
-    bases = _hom_bases(src, tgt, hdeg)
-    order = sorted(bases)
-    offsets = {}
-    ncols = 0
-    for d in order:
-        offsets[d] = ncols
-        ncols += len(bases[d])
-    rows_blocks = []
-    rhs_blocks = []
-    eqdegs = [d for d in range(src.min_deg - 1, src.max_deg + 2)
-              if equation_degrees is None or
-              (equation_degrees[0] <= d <= equation_degrees[1])]
-    for d in eqdegs:
-        r = tgt.term(d + k).dim
-        c_ = src.term(d).dim
-        if r == 0 or c_ == 0:
-            continue
-        nent = r * c_
-        row = [ring.zero()] * (nent * ncols)
-        # d_tgt . h_d contribution
-        if d in bases:
-            dt = tgt.diff(d + hdeg)
-            for bi, bm in enumerate(bases[d]):
-                col = offsets[d] + bi
-                prod = dt * bm
-                for e in range(nent):
-                    row[e * ncols + col] = prod.entries[e]
-        # sgn * h_{d+1} . d_src contribution
-        if d + 1 in bases:
-            ds = src.diff(d)
-            for bi, bm in enumerate(bases[d + 1]):
-                col = offsets[d + 1] + bi
-                prod = (bm * ds).scale(sgn)
-                for e in range(nent):
-                    row[e * ncols + col] = ring.add(row[e * ncols + col],
-                                                    prod.entries[e])
-        rows_blocks.append(Matrix(ring, nent, ncols, row, _trusted=True))
-        fm = f.comp(d)
-        rhs_blocks.append(Matrix(ring, nent, 1, list(fm.entries),
-                                 _trusted=True))
-    if not rows_blocks:
+    u = _Unknowns(ring, [("h", src, tgt, hdeg)])
+    A, rhs = u.system(
+        (tgt.term(d + k).dim, src.term(d).dim,
+         [("h", d, lambda b, dt=tgt.diff(d + hdeg): dt * b),
+          ("h", d + 1, lambda b, ds=src.diff(d): (b * ds).scale(sgn))],
+         f.comp(d))
+        for d in range(src.min_deg - 1, src.max_deg + 2)
+        if _in_window(d, equation_degrees))
+    if not A.rows:
         return Verdict(PASS, witness=Homotopy(src, tgt, hdeg, {}))
-    A = rows_blocks[0]
-    for b in rows_blocks[1:]:
-        A = A.vstack(b)
-    rhs = rhs_blocks[0]
-    for b in rhs_blocks[1:]:
-        rhs = rhs.vstack(b)
     part = solve(A, rhs)
     if part is None:
         return Verdict(FAIL, reason="no null-homotopy exists")
-    comps = {}
-    for d in order:
-        m = Matrix.zeros(ring, tgt.term(d + hdeg).dim, src.term(d).dim)
-        for bi, bm in enumerate(bases[d]):
-            cval = part[offsets[d] + bi, 0]
-            if cval != ring.zero():
-                m = m + bm.scale(cval)
-        if not m.is_zero():
-            comps[d] = m
-    h = Homotopy(src, tgt, hdeg, comps)
+    h = Homotopy(src, tgt, hdeg, u.comps("h", part))
     if equation_degrees is None:
-        assert _check_commutator(h, f), "solver returned a bad homotopy"
+        assert maps_equal(bracket(h), f), "solver returned a bad homotopy"
     return Verdict(PASS, witness=h)
-
-
-def _check_commutator(h, f):
-    """[d, h] == f, degree-wise."""
-    sgn = 1 if h.degree % 2 == 0 else -1
-    for d in range(f.src.min_deg - 1, f.src.max_deg + 2):
-        lhs = f.tgt.diff(d + h.degree) * h.comp(d) - \
-            (h.comp(d + 1) * f.src.diff(d)).scale(sgn)
-        if not (lhs - f.comp(d)).is_zero():
-            return False
-    return True
 
 
 def is_contractible(c, equation_degrees=None):
@@ -605,99 +615,44 @@ def homotopy_inverse(f, equation_degrees=None):
         raise ValueError("homotopy inverse needs a degree-0 map")
     C, D = f.src, f.tgt
     ring = C.alg.ring
-    psi_b = _hom_bases(D, C, 0)
-    h_b = _hom_bases(C, C, -1)
-    hp_b = _hom_bases(D, D, -1)
-    groups = [("psi", psi_b), ("h", h_b), ("hp", hp_b)]
-    offsets = {}
-    ncols = 0
-    for gname, bases in groups:
-        for d in sorted(bases):
-            offsets[(gname, d)] = ncols
-            ncols += len(bases[d])
-
-    rows = []
-    rhss = []
-
-    def want(d):
-        return equation_degrees is None or \
-            equation_degrees[0] <= d <= equation_degrees[1]
-
-    def add_eq(r, c_, contributions, rhs_mat):
-        # contributions: list of (group, d, transform) with transform mapping a
-        # basis matrix to its coefficient block in this equation
-        nent = r * c_
-        row = [ring.zero()] * (nent * ncols)
-        for gname, d, fn in contributions:
-            bases = dict(groups)[gname]
-            if d not in bases:
-                continue
-            for bi, bm in enumerate(bases[d]):
-                col = offsets[(gname, d)] + bi
-                prod = fn(bm)
-                for e in range(nent):
-                    row[e * ncols + col] = ring.add(row[e * ncols + col],
-                                                    prod.entries[e])
-        rows.append(Matrix(ring, nent, ncols, row, _trusted=True))
-        rhss.append(Matrix(ring, nent, 1, list(rhs_mat.entries),
-                           _trusted=True))
-
-    lo = min(C.min_deg, D.min_deg) - 1
-    hi = max(C.max_deg, D.max_deg) + 1
-    for d in range(lo, hi + 1):
+    u = _Unknowns(ring, [("psi", D, C, 0), ("h", C, C, -1),
+                         ("hp", D, D, -1)])
+    eqs = []
+    for d in range(min(C.min_deg, D.min_deg) - 1,
+                   max(C.max_deg, D.max_deg) + 2):
+        if not _in_window(d, equation_degrees):
+            continue
+        fd = f.comp(d)
         # chain condition: d_C psi_d - psi_{d+1} d_D = 0
-        if want(d):
-            r, c_ = C.term(d + 1).dim, D.term(d).dim
-            if r and c_:
-                add_eq(r, c_,
-                       [("psi", d, lambda b, d=d: C.diff(d) * b),
-                        ("psi", d + 1, lambda b, d=d: -(b * D.diff(d)))],
-                       Matrix.zeros(ring, r, c_))
-            # psi f - [d, h] = id_C  (h odd: [d,h] = d h + h d)
-            r, c_ = C.term(d).dim, C.term(d).dim
-            if r:
-                add_eq(r, c_,
-                       [("psi", d, lambda b, d=d: b * f.comp(d)),
-                        ("h", d, lambda b, d=d: -(C.diff(d - 1) * b)),
-                        ("h", d + 1, lambda b, d=d: -(b * C.diff(d)))],
-                       Matrix.identity(ring, r))
-            # f psi - [d, h'] = id_D
-            r, c_ = D.term(d).dim, D.term(d).dim
-            if r:
-                add_eq(r, c_,
-                       [("psi", d, lambda b, d=d: f.comp(d) * b),
-                        ("hp", d, lambda b, d=d: -(D.diff(d - 1) * b)),
-                        ("hp", d + 1, lambda b, d=d: -(b * D.diff(d)))],
-                       Matrix.identity(ring, r))
-    if not rows:
+        eqs.append((C.term(d + 1).dim, D.term(d).dim,
+                    [("psi", d, lambda b, dc=C.diff(d): dc * b),
+                     ("psi", d + 1, lambda b, dd=D.diff(d): -(b * dd))],
+                    None))
+        # psi f - [d, h] = id_C  (h odd: [d,h] = d h + h d)
+        r = C.term(d).dim
+        eqs.append((r, r,
+                    [("psi", d, lambda b, fd=fd: b * fd),
+                     ("h", d, lambda b, dc=C.diff(d - 1): -(dc * b)),
+                     ("h", d + 1, lambda b, dc=C.diff(d): -(b * dc))],
+                    Matrix.identity(ring, r)))
+        # f psi - [d, h'] = id_D
+        r = D.term(d).dim
+        eqs.append((r, r,
+                    [("psi", d, lambda b, fd=fd: fd * b),
+                     ("hp", d, lambda b, dd=D.diff(d - 1): -(dd * b)),
+                     ("hp", d + 1, lambda b, dd=D.diff(d): -(b * dd))],
+                    Matrix.identity(ring, r)))
+    A, rhs = u.system(eqs)
+    if not A.rows:
         return Verdict(PASS, witness=(zero_map(D, C), Homotopy(C, C, -1, {}),
                                       Homotopy(D, D, -1, {})))
-    A = rows[0]
-    for b in rows[1:]:
-        A = A.vstack(b)
-    rhs = rhss[0]
-    for b in rhss[1:]:
-        rhs = rhs.vstack(b)
     part = solve(A, rhs)
     if part is None:
         return Verdict(FAIL, reason="no homotopy inverse")
-
-    def collect(gname, bases, src, tgt, deg):
-        comps = {}
-        for d in sorted(bases):
-            m = Matrix.zeros(ring, tgt.term(d + deg).dim, src.term(d).dim)
-            for bi, bm in enumerate(bases[d]):
-                cval = part[offsets[(gname, d)] + bi, 0]
-                if cval != ring.zero():
-                    m = m + bm.scale(cval)
-            if not m.is_zero():
-                comps[d] = m
-        return comps
-
-    psi = ChainMap(D, C, 0, collect("psi", psi_b, D, C, 0),
+    psi = ChainMap(D, C, 0, u.comps("psi", part),
                    check=(equation_degrees is None))
-    h = Homotopy(C, C, -1, collect("h", h_b, C, C, -1))
-    hp = Homotopy(D, D, -1, collect("hp", hp_b, D, D, -1))
+    h = Homotopy(C, C, -1, u.comps("h", part))
+    hp = Homotopy(D, D, -1, u.comps("hp", part))
     return Verdict(PASS, witness=(psi, h, hp))
 
 
@@ -965,7 +920,7 @@ def minimize(c, retract=True):
     # exact retract identities
     assert maps_equal(proj.compose(incl), identity_map(minimal))
     defect = identity_map(c) - incl.compose(proj)
-    assert _check_commutator(h, defect), "retract homotopy identity fails"
+    assert maps_equal(bracket(h), defect), "retract homotopy identity fails"
     return MinimizeResult(minimal, tagonly, incl, proj, h)
 
 
@@ -1002,61 +957,19 @@ def _fill_block(e, C, rows, cols, m):
 def chain_map_space(src, tgt, degree=0):
     """Basis of the space/lattice of degree-k chain maps src -> tgt."""
     ring = src.alg.ring
-    bases = _hom_bases(src, tgt, degree)
-    order = sorted(bases)
-    offsets = {}
-    ncols = 0
-    for d in order:
-        offsets[d] = ncols
-        ncols += len(bases[d])
-    if ncols == 0:
+    u = _Unknowns(ring, [("f", src, tgt, degree)])
+    if u.ncols == 0:
         return []
-    sgn = ring.coerce(1 if degree % 2 == 0 else -1)
-    rows = []
-    for d in range(src.min_deg - 1, src.max_deg + 2):
-        r = tgt.term(d + degree + 1).dim
-        c_ = src.term(d).dim
-        if r == 0 or c_ == 0:
-            continue
-        nent = r * c_
-        row = [ring.zero()] * (nent * ncols)
-        if d in bases:
-            dt = tgt.diff(d + degree)
-            for bi, bm in enumerate(bases[d]):
-                col = offsets[d] + bi
-                prod = dt * bm
-                for e in range(nent):
-                    row[e * ncols + col] = prod.entries[e]
-        if d + 1 in bases:
-            ds = src.diff(d)
-            for bi, bm in enumerate(bases[d + 1]):
-                col = offsets[d + 1] + bi
-                prod = (bm * ds).scale(ring.neg(sgn))
-                for e in range(nent):
-                    row[e * ncols + col] = ring.add(row[e * ncols + col],
-                                                    prod.entries[e])
-        rows.append(Matrix(ring, nent, ncols, row, _trusted=True))
-    if rows:
-        A = rows[0]
-        for b in rows[1:]:
-            A = A.vstack(b)
-        from .exactlinalg import kernel as _kernel
-        kb = _kernel(A)
-    else:
-        kb = Matrix.identity(ring, ncols)
-    out = []
-    for j in range(kb.cols):
-        comps = {}
-        for d in order:
-            m = Matrix.zeros(ring, tgt.term(d + degree).dim, src.term(d).dim)
-            for bi, bm in enumerate(bases[d]):
-                cval = kb[offsets[d] + bi, j]
-                if cval != ring.zero():
-                    m = m + bm.scale(cval)
-            if not m.is_zero():
-                comps[d] = m
-        out.append(ChainMap(src, tgt, degree, comps, check=False))
-    return out
+    sgn = ring.coerce(-1 if degree % 2 == 0 else 1)  # -(-1)^k
+    A, _ = u.system(
+        (tgt.term(d + degree + 1).dim, src.term(d).dim,
+         [("f", d, lambda b, dt=tgt.diff(d + degree): dt * b),
+          ("f", d + 1, lambda b, ds=src.diff(d): (b * ds).scale(sgn))],
+         None)
+        for d in range(src.min_deg - 1, src.max_deg + 2))
+    kb = kernel(A) if A.rows else Matrix.identity(ring, u.ncols)
+    return [ChainMap(src, tgt, degree, u.comps("f", kb, j), check=False)
+            for j in range(kb.cols)]
 
 
 def _graded_tag_multisets(mr):

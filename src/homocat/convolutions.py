@@ -7,7 +7,7 @@ from .modulecat import Module, direct_sum_modules, zero_module
 from .complexes import (
     Complex, ChainMap, Homotopy, Verdict, PASS, FAIL, INCONCLUSIVE,
     zero_complex, shift, identity_map, minimize, maps_equal,
-    _assemble, _check_commutator,
+    _assemble, bracket,
 )
 
 
@@ -347,7 +347,7 @@ def simplify_layers(t, retracts=None, order=None):
                           identity_map(mr.minimal)):
             raise InvalidRetract(f"retract for layer {lab} fails proj.incl=id")
         defect = identity_map(t.layers[lab]) - mr.incl.compose(mr.proj)
-        if not _check_commutator(mr.h, defect):
+        if not maps_equal(bracket(mr.h), defect):
             raise InvalidRetract(f"retract for layer {lab} fails homotopy id")
 
     min_layers = {lab: retracts[lab].minimal for lab in order}
@@ -472,7 +472,8 @@ def simplify_layers(t, retracts=None, order=None):
     assert maps_equal(proj.compose(incl), identity_map(Tmin)), \
         "perturbation retract identity fails"
     defect = identity_map(T) - incl.compose(proj)
-    assert _check_commutator(hh, defect), "perturbation homotopy identity fails"
+    assert maps_equal(bracket(hh), defect), \
+        "perturbation homotopy identity fails"
     return SimplifyResult(out_t, Tmin, incl, proj, hh)
 
 

@@ -11,7 +11,7 @@ from .complexes import (
     Complex, ChainMap, Homotopy, Verdict, PASS, FAIL, INCONCLUSIVE,
     atom, shift, direct_sum, tensor, cone, homology,
     is_contractible, solve_null_homotopy, identity_map, zero_map,
-    minimize, equivalent, maps_equal, _check_commutator, _hom_bases,
+    minimize, equivalent, maps_equal, bracket, _Unknowns,
 )
 from .convolutions import Poset, TwistedComplex, tot, validate
 
@@ -157,7 +157,7 @@ def _word_contractible(cones, word):
             h = _tensor_homotopy(identity_map(fac), h)
             cur = tensor(fac, cur)
         hh = Homotopy(cur, cur, -1, h.comps)
-        assert _check_commutator(hh, identity_map(cur)), \
+        assert maps_equal(bracket(hh), identity_map(cur)), \
             "extended contraction failed its exact check"
         return Verdict(PASS, witness=hh)
     return _contractible(_word_product(cones, word))
@@ -306,7 +306,7 @@ def mixed_eigencone(a, b, h=None):
     comp = b.compose(a)
     if not comp.is_zero() and h is None:
         raise CompositeNotKilled("b after a is nonzero and no homotopy given")
-    if h is not None and not _check_commutator(h, -comp):
+    if h is not None and not maps_equal(bracket(h), -comp):
         raise CompositeNotKilled("supplied homotopy does not bound -(b.a)")
     poset = Poset([0, 1, 2], {(0, 1), (1, 2), (0, 2)})
     layers = {0: lam1, 1: F, 2: mum1}
@@ -376,73 +376,29 @@ def _solve_homotopy_section(f):
     f . s - id null-homotopic, jointly with the bounding homotopy k."""
     C, D = f.src, f.tgt  # f: C -> D, s: D -> C, k: D -> D of degree -1
     ring = C.alg.ring
-    s_b = _hom_bases(D, C, 0)
-    k_b = _hom_bases(D, D, -1)
-    groups = {"s": s_b, "k": k_b}
-    offsets = {}
-    ncols = 0
-    for gname in ("s", "k"):
-        for d in sorted(groups[gname]):
-            offsets[(gname, d)] = ncols
-            ncols += len(groups[gname][d])
-    rows, rhss = [], []
-
-    def add_eq(r, c_, contributions, rhs_mat):
-        nent = r * c_
-        row = [ring.zero()] * (nent * ncols)
-        for gname, d, fn in contributions:
-            bases = groups[gname]
-            if d not in bases:
-                continue
-            for bi, bm in enumerate(bases[d]):
-                col = offsets[(gname, d)] + bi
-                prod = fn(bm)
-                for e in range(nent):
-                    row[e * ncols + col] = ring.add(row[e * ncols + col],
-                                                    prod.entries[e])
-        rows.append(Matrix(ring, nent, ncols, row, _trusted=True))
-        rhss.append(Matrix(ring, nent, 1, list(rhs_mat.entries),
-                           _trusted=True))
-
-    lo = min(C.min_deg, D.min_deg) - 1
-    hi = max(C.max_deg, D.max_deg) + 1
-    for d in range(lo, hi + 1):
+    u = _Unknowns(ring, [("s", D, C, 0), ("k", D, D, -1)])
+    eqs = []
+    for d in range(min(C.min_deg, D.min_deg) - 1,
+                   max(C.max_deg, D.max_deg) + 2):
         # chain condition: d_C s_d - s_{d+1} d_D = 0
-        r, c_ = C.term(d + 1).dim, D.term(d).dim
-        if r and c_:
-            add_eq(r, c_,
-                   [("s", d, lambda b, d=d: C.diff(d) * b),
-                    ("s", d + 1, lambda b, d=d: -(b * D.diff(d)))],
-                   Matrix.zeros(ring, r, c_))
+        eqs.append((C.term(d + 1).dim, D.term(d).dim,
+                    [("s", d, lambda b, dc=C.diff(d): dc * b),
+                     ("s", d + 1, lambda b, dd=D.diff(d): -(b * dd))],
+                    None))
         # f s - [d, k] = id_D  (k odd: [d, k] = d k + k d)
         r = D.term(d).dim
-        if r:
-            add_eq(r, r,
-                   [("s", d, lambda b, d=d: f.comp(d) * b),
-                    ("k", d, lambda b, d=d: -(D.diff(d - 1) * b)),
-                    ("k", d + 1, lambda b, d=d: -(b * D.diff(d)))],
-                   Matrix.identity(ring, r))
-    if not rows:
+        eqs.append((r, r,
+                    [("s", d, lambda b, fd=f.comp(d): fd * b),
+                     ("k", d, lambda b, dd=D.diff(d - 1): -(dd * b)),
+                     ("k", d + 1, lambda b, dd=D.diff(d): -(b * dd))],
+                    Matrix.identity(ring, r)))
+    A, rhs = u.system(eqs)
+    if not A.rows:
         return zero_map(D, C)
-    A = rows[0]
-    for b in rows[1:]:
-        A = A.vstack(b)
-    rhs = rhss[0]
-    for b in rhss[1:]:
-        rhs = rhs.vstack(b)
     part = solve(A, rhs)
     if part is None:
         return None
-    comps = {}
-    for d in sorted(s_b):
-        m = Matrix.zeros(ring, C.term(d).dim, D.term(d).dim)
-        for bi, bm in enumerate(s_b[d]):
-            cval = part[offsets[("s", d)] + bi, 0]
-            if cval != ring.zero():
-                m = m + bm.scale(cval)
-        if not m.is_zero():
-            comps[d] = m
-    return ChainMap(D, C, 0, comps)
+    return ChainMap(D, C, 0, u.comps("s", part))
 
 
 def eigenmap_to_json(a):

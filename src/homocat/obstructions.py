@@ -3,9 +3,10 @@ totals: commutation homotopies, secondary obstruction cycles, the self
 obstruction, bounding homotopies, explicit commutation equivalences, and
 certificates that re-verify from raw data on every use."""
 
-from .exactlinalg import Matrix, solve, matrix_to_json, matrix_from_json
+from .exactlinalg import Matrix, matrix_to_json, matrix_from_json
 from .complexes import (
     Complex, ChainMap, Homotopy, atom, shift, tensor, tensor_maps,
+    bracket, maps_equal, _is_invertible,
     identity_map, zero_map, swap, cone, direct_sum, tensor_layout,
     solve_null_homotopy, is_contractible, equivalent,
     complex_to_json, complex_from_json,
@@ -22,30 +23,8 @@ class MissingCertificate(Exception):
     pass
 
 
-def bracket(f):
-    """[d, f] = d f - (-1)^{|f|} f d, one degree higher than f."""
-    k = f.degree
-    sgn = 1 if k % 2 == 0 else -1
-    comps = {}
-    for d in range(f.src.min_deg - 1, f.src.max_deg + 2):
-        m = f.tgt.diff(d + k) * f.comp(d) \
-            - (f.comp(d + 1) * f.src.diff(d)).scale(sgn)
-        if not m.is_zero():
-            comps[d] = m
-    return ChainMap(f.src, f.tgt, k + 1, comps, check=False)
-
-
-def _same_map(f, g):
-    if f.degree != g.degree:
-        return False
-    for d in set(f.comps) | set(g.comps):
-        if not (f.comp(d) - g.comp(d)).is_zero():
-            return False
-    return True
-
-
 def _require_equation(h, rhs, what):
-    if not _same_map(bracket(h), rhs):
+    if not maps_equal(bracket(h), rhs):
         raise HomotopyEquationViolated(
             f"{what} does not satisfy its defining equation")
 
@@ -74,7 +53,7 @@ class CommutationCertificate:
                 if strict:
                     raise MissingCertificate(f"no homotopy named {name!r}")
                 return Verdict(FAIL, reason=f"no homotopy named {name!r}")
-            if not _same_map(bracket(h), rhs):
+            if not maps_equal(bracket(h), rhs):
                 if strict:
                     raise HomotopyEquationViolated(
                         f"stored homotopy {name!r} fails its equation")
@@ -137,30 +116,39 @@ def _phi(phis, i, j, g_i, f_j):
     return swap(g_i, f_j)
 
 
-def z_cycle(f, g, hs, ks, phis=None):
-    """Secondary obstruction to commuting the cones of f and g.
-
-    f: F0 -> F1 and g: G0 -> G1; hs = (h0, h1) with
+def _hk_obligations(f, g, phis):
+    """Right-hand sides of the h/k equations, keyed h0, k0, h1, k1:
     [d, h_i] = phi_{i,1} (id_{G_i} (x) f) - (f (x) id_{G_i}) phi_{i,0},
-    ks = (k0, k1) with
-    [d, k_i] = phi_{1,i} (g (x) id_{F_i}) - (id_{F_i} (x) g) phi_{0,i}.
-    Both families are re-verified before the cycle
-    z = h1 (g (x) id) - (id (x) g) h0 - k1 (id (x) f) + (f (x) id) k0
-    is assembled and checked to be closed."""
+    [d, k_i] = phi_{1,i} (g (x) id_{F_i}) - (id_{F_i} (x) g) phi_{0,i}."""
     G = [g.src, g.tgt]
     F = [f.src, f.tgt]
+    out = {}
     for i in (0, 1):
-        rhs = _phi(phis, i, 1, G[i], F[1]).compose(
+        out[f"h{i}"] = _phi(phis, i, 1, G[i], F[1]).compose(
             tensor_maps(identity_map(G[i]), f)) \
             - tensor_maps(f, identity_map(G[i])).compose(
                 _phi(phis, i, 0, G[i], F[0]))
-        _require_equation(hs[i], rhs, f"h{i}")
-    for i in (0, 1):
-        rhs = _phi(phis, 1, i, G[1], F[i]).compose(
+        out[f"k{i}"] = _phi(phis, 1, i, G[1], F[i]).compose(
             tensor_maps(g, identity_map(F[i]))) \
             - tensor_maps(identity_map(F[i]), g).compose(
                 _phi(phis, 0, i, G[0], F[i]))
-        _require_equation(ks[i], rhs, f"k{i}")
+    return out
+
+
+def z_cycle(f, g, hs, ks, phis=None):
+    """Secondary obstruction to commuting the cones of f and g.
+
+    f: F0 -> F1 and g: G0 -> G1; hs = (h0, h1) and ks = (k0, k1) satisfy
+    the equations of _hk_obligations.  Both families are re-verified before
+    the cycle
+    z = h1 (g (x) id) - (id (x) g) h0 - k1 (id (x) f) + (f (x) id) k0
+    is assembled and checked to be closed."""
+    F = [f.src, f.tgt]
+    G = [g.src, g.tgt]
+    rhs = _hk_obligations(f, g, phis)
+    for name, h in (("h0", hs[0]), ("h1", hs[1]), ("k0", ks[0]),
+                    ("k1", ks[1])):
+        _require_equation(h, rhs[name], name)
     z = hs[1].compose(tensor_maps(g, identity_map(F[0]))) \
         - tensor_maps(identity_map(F[1]), g).compose(hs[0]) \
         - ks[1].compose(tensor_maps(identity_map(G[0]), f)) \
@@ -189,25 +177,9 @@ def secondary_certificate(f, g, hs, ks, phis=None,
         return None, Verdict(FAIL,
                              reason="obstruction cycle is not bounded: "
                                     + (bv.reason or ""))
-    G = [g.src, g.tgt]
-    F = [f.src, f.tgt]
-    obligations = []
-    homotopies = {"l": bv.witness}
-    for i in (0, 1):
-        homotopies[f"h{i}"] = hs[i]
-        obligations.append(
-            (f"h{i}",
-             _phi(phis, i, 1, G[i], F[1]).compose(
-                 tensor_maps(identity_map(G[i]), f))
-             - tensor_maps(f, identity_map(G[i])).compose(
-                 _phi(phis, i, 0, G[i], F[0]))))
-        homotopies[f"k{i}"] = ks[i]
-        obligations.append(
-            (f"k{i}",
-             _phi(phis, 1, i, G[1], F[i]).compose(
-                 tensor_maps(g, identity_map(F[i])))
-             - tensor_maps(identity_map(F[i]), g).compose(
-                 _phi(phis, 0, i, G[0], F[i]))))
+    homotopies = {"l": bv.witness, "h0": hs[0], "k0": ks[0],
+                  "h1": hs[1], "k1": ks[1]}
+    obligations = list(_hk_obligations(f, g, phis).items())
     obligations.append(("l", z))
     return CommutationCertificate(subject, homotopies, obligations), \
         Verdict(PASS)
@@ -222,10 +194,10 @@ def w_cycle(a, h):
     lam = g.src
     F = g.tgt
     bh = bracket(h)
-    if not (_same_map(bh, _commutation_defect(g, F))
-            or _same_map(bh, tensor_maps(g, identity_map(F))
-                         - tensor_maps(identity_map(F), g).compose(
-                             swap(lam, F)))):
+    if not (maps_equal(bh, _commutation_defect(g, F))
+            or maps_equal(bh, tensor_maps(g, identity_map(F))
+                          - tensor_maps(identity_map(F), g).compose(
+                              swap(lam, F)))):
         raise HomotopyEquationViolated(
             "h does not satisfy its defining equation")
     w = h.compose(tensor_maps(identity_map(lam), g))
@@ -485,7 +457,6 @@ def _outer_corner(g, F0, F1, h0, h1, l):
 
 def strict_iso_verdict(psi):
     """PASS when each component of a degree-0 chain map is invertible."""
-    ring = psi.src.alg.ring
     for n in range(min(psi.src.min_deg, psi.tgt.min_deg),
                    max(psi.src.max_deg, psi.tgt.max_deg) + 1):
         m = psi.comp(n)
@@ -494,7 +465,7 @@ def strict_iso_verdict(psi):
                                         f"different dimensions")
         if m.rows == 0:
             continue
-        if solve(m, Matrix.identity(ring, m.rows)) is None:
+        if not _is_invertible(m):
             return Verdict(FAIL,
                            reason=f"component in degree {n} not invertible")
     return Verdict(PASS, witness=psi)
@@ -683,14 +654,13 @@ def self_obstruction_consequence(a, certificate):
     k = certificate.get("k")
     C = cone(g)
     m = _assemble_m(g, h, k)
-    target = tensor_maps(g, identity_map(C))
-    residue = bracket(m) - target
+    gid = tensor_maps(g, identity_map(C))
+    residue = bracket(m) - gid
     bad = [n for n in m.src.degrees() if not residue.comp(n).is_zero()]
     if bad:
         return Verdict(FAIL,
                        reason="candidate null-homotopy fails its equation "
                               f"in degrees {bad}")
-    gid = tensor_maps(g, identity_map(C))
     psi = _collapse_distribute(g, C).compose(
         cone_collapse_map(gid, m)).compose(cone_assoc_left(g, C))
     psi = ChainMap(psi.src, psi.tgt, 0, dict(psi.comps))

@@ -115,6 +115,35 @@ class TestExitCodes:
         assert report_exit_code(rep) == 0
 
 
+def run_python(*args):
+    """Run the interpreter on this checkout's homocat in a fresh process."""
+    src = str(Path(homocat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("args, scenario", [
+    (["--depth", "0"], None),
+    (["--edge", "-1"], None),
+    (None, {"demo": "cyclic", "m": "2"}),
+    (None, {"demo": "cyclic", "depth": None}),
+    (None, {"demo": "cyclic", "direction": "sideways"}),
+], ids=["depth-0", "edge-minus-1", "m-string", "depth-null",
+        "direction-sideways"])
+def test_bad_cyclic_configuration_exits_3(tmp_path, args, scenario):
+    if scenario is None:
+        argv = ["demo", "cyclic", *args]
+    else:
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario))
+        argv = ["verify", "--scenario", str(path)]
+    proc = run_python("-m", "homocat.cli", *argv)
+    assert proc.returncode == 3
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 class TestObstructionsSubcommand:
     def test_restricted_to_obstruction_checks(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -135,11 +164,9 @@ def test_imports_only_the_standard_library():
     every module, loads nothing from outside the standard library."""
     code = ("import json, sys; before = set(sys.modules); import homocat.cli; "
             "print(json.dumps(sorted(set(sys.modules) - before)))")
-    src = str(Path(homocat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    loaded = json.loads(out)
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
     assert "numpy" not in loaded
     third_party = {n.split(".")[0] for n in loaded} \
         - set(sys.stdlib_module_names) - {"homocat"}

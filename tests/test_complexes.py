@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from homocat.exactlinalg import PrimeField, Rationals, Integers, Matrix
+from homocat.exactlinalg import PrimeField, Rationals, Integers, Matrix, kernel
 from homocat.modulecat import (
     cyclic_algebra, regular_module, trivial_module, tensor_modules,
 )
@@ -12,7 +12,8 @@ from homocat.complexes import (
     cone, cone_inclusion, cone_projection, homology,
     solve_null_homotopy, is_contractible, homotopy_inverse,
     identity_map, zero_map, minimize, equivalent, hom_complex,
-    restrict, complex_to_json, complex_from_json, maps_equal,
+    restrict, complex_to_json, complex_from_json, maps_equal, bracket,
+    chain_map_space,
 )
 
 F2 = PrimeField(2)
@@ -151,6 +152,25 @@ class TestHomotopy:
         v = homotopy_inverse(identity_map(F))
         assert v.passed
 
+    @pytest.mark.parametrize("ring", [F2, Q], ids=["f2", "q"])
+    def test_homotopy_inverse_of_minimal_inclusion(self, ring):
+        _, _, _, _, _, beta = worked_example(ring)
+        c = cone(beta)
+        mr = minimize(c)
+        assert mr.minimal.total_dim() < c.total_dim()  # a cancellation
+        v = homotopy_inverse(mr.incl)
+        assert v.passed
+        psi, h, hp = v.witness
+        assert maps_equal(bracket(h), psi.compose(mr.incl)
+                          - identity_map(mr.minimal))
+        assert maps_equal(bracket(hp), mr.incl.compose(psi)
+                          - identity_map(c))
+
+    def test_zero_self_map_of_noncontractible_has_no_inverse(self):
+        _, _, _, F, _, _ = worked_example(F2)
+        assert not is_contractible(F).passed
+        assert homotopy_inverse(zero_map(F, F)).status == FAIL
+
 
 class TestMinimize:
     def test_cone_beta_minimal_two_step(self):
@@ -210,6 +230,35 @@ class TestEquivalent:
         c2 = Complex(alg, 0, [one, one], [M(Z, [[2]])])
         c4 = Complex(alg, 0, [one, one], [M(Z, [[4]])])
         assert equivalent(c2, c4).status == FAIL
+
+
+class TestChainMapSpace:
+    @pytest.mark.parametrize("degree", [0, -1])
+    @pytest.mark.parametrize("ring", [F2, Q, Z], ids=["f2", "q", "z"])
+    def test_rank_matches_hom_complex_cycles(self, ring, degree):
+        # hom_complex reaches its coordinates by separate solves, so the
+        # count of its degree-k cycles is an independent reference
+        _, A, one, F, alpha, _ = worked_example(ring)
+        pool = [F, cone(alpha), atom(A), shift(atom(one), -1)]
+        total = 0
+        for X in pool:
+            for Y in pool:
+                space = chain_map_space(X, Y, degree)
+                assert len(space) == \
+                    kernel(hom_complex(X, Y).diff(degree)).cols
+                for f in space:
+                    ChainMap(X, Y, degree, f.comps, check=True)
+                # the elements are independent: no column of their
+                # coordinate matrix is a combination of the others
+                coords = [[e for d in X.degrees() for e in f.comp(d).entries]
+                          for f in space]
+                if coords:
+                    n = len(coords[0])
+                    V = Matrix(ring, n, len(coords),
+                               [v[i] for i in range(n) for v in coords])
+                    assert kernel(V).cols == 0
+                total += len(space)
+        assert total
 
 
 class TestHomComplex:
