@@ -21,7 +21,7 @@ from .eigen import (
 )
 from .interpolation import (
     TruncationWindow, build_Cab, build_Cba, periodicity_map, canonical_map,
-    window_restrict, window_bounds,
+    window_restrict, window_bounds, EMPTY_WINDOW,
     verify_compact_description, verify_P_koszul, build_P,
     quasi_idempotent_check, verify_eigenaction,
 )
@@ -68,6 +68,13 @@ def cyclic_scenario(ring, m):
     return alg, A, one, F, ea, eb
 
 
+def _outcome(v, detail):
+    """A check's (status, detail); a non-PASS verdict's reason is appended."""
+    if v.status != PASS and v.reason:
+        detail = f"{detail}: {v.reason}"
+    return v.status, detail
+
+
 def _zero_hom(src, tgt):
     return Homotopy(src, tgt, -1, {})
 
@@ -108,20 +115,23 @@ def _cyclic_checks(ring_name, m, depth, edge, seed, direction):
 
     def c_pd1():
         v = check_PD1([eb, ea])
-        return v.status, "eigencones tensor to zero in both orders"
+        return _outcome(v, "eigencones tensor to zero in both orders")
 
     def c_pd2():
         v = check_PD2([eb, ea])
-        return v.status, "single eigencones are acyclic but non-contractible"
+        return _outcome(
+            v, "single eigencones are acyclic but non-contractible")
 
     def c_pd3():
         v = check_PD3_capped([eb, ea], max_length=4)
-        return v.status, "tensor words of eigencones vanish up to length 4"
+        return _outcome(v, "tensor words of eigencones vanish up to length 4")
 
     def c_projector_form():
         Pa, Pb = projectors()
-        r = minimize(window_restrict(Pb.complex, w,
-                                     direction=direction)).minimal
+        win = window_restrict(Pb.complex, w, direction=direction)
+        if win is None:
+            return INCONCLUSIVE, EMPTY_WINDOW
+        r = minimize(win).minimal
         interior = [d for d in r.degrees()
                     if r.term(d).dim and d != max(r.degrees())]
         ok = all(r.term(d).dim == m for d in interior) \
@@ -133,30 +143,32 @@ def _cyclic_checks(ring_name, m, depth, edge, seed, direction):
     def c_orthogonality():
         Pa, Pb = projectors()
         v = verify_orthogonality([Pa, Pb], direction=direction, seed=seed)
-        return v.status, "products of distinct projectors vanish"
+        return _outcome(v, "products of distinct projectors vanish")
 
     def c_idempotence():
         Pa, Pb = projectors()
         v = verify_idempotence(Pb, direction=direction, seed=seed)
-        return v.status, "projector squares to itself on the stable window"
+        return _outcome(v, "projector squares to itself on the stable window")
 
     def c_decomposition():
         Pa, Pb = projectors()
         v = verify_decomposition_of_identity([Pb, Pa])
-        return v.status, "the projector convolution is the unit"
+        return _outcome(v, "the projector convolution is the unit")
 
     def c_tightness():
         Pa, Pb = projectors()
         v = tightness_spot_check([ea, eb], [Pa, Pb],
                                  [atom(A), atom(one)],
                                  direction=direction, seed=seed)
-        return v.status, "projectors detect exactly the eigenobjects"
+        return _outcome(v, "projectors detect exactly the eigenobjects")
 
     def c_periodicity():
         for build, e, sh in ((build_Cab, ea, 2), (build_Cba, eb, 0)):
             tp = build(ea, eb, w, direction=direction)
             u = periodicity_map(tp)
             lo, hi = window_bounds(tp.complex, w, direction=direction)
+            if lo >= hi:
+                return INCONCLUSIVE, EMPTY_WINDOW
             r = minimize(restrict(cone(u), lo, hi)).minimal
             expect = shift(cone(e.map), sh)
             got = {d: r.term(d).dim for d in r.degrees()
@@ -172,20 +184,20 @@ def _cyclic_checks(ring_name, m, depth, edge, seed, direction):
             v = verify_compact_description(ea, eb, w, kind=kind,
                                            direction=direction)
             if not v.passed:
-                return v.status, f"compact description fails for {kind}"
+                return _outcome(v, f"compact description fails for {kind}")
         return PASS, "zigzag totals match their compact descriptions"
 
     def c_koszul_projector():
         v = verify_P_koszul([eb, ea], 1, w, direction=direction)
-        return v.status, "projector matches its Koszul reconstruction"
+        return _outcome(v, "projector matches its Koszul reconstruction")
 
     def c_eigenaction():
         v = verify_eigenaction([eb, ea], 1, w, certificates(), j=0)
-        return v.status, "periodicity map realizes the scalar action"
+        return _outcome(v, "periodicity map realizes the scalar action")
 
     def c_quasi_idempotent():
         v = quasi_idempotent_check([eb, ea], 1, certificates())
-        return v.status, "Koszul object squares to a scalar multiple"
+        return _outcome(v, "Koszul object squares to a scalar multiple")
 
     def c_obstruction_z():
         cert = certificates()[("z", 0, 1)]
@@ -195,23 +207,23 @@ def _cyclic_checks(ring_name, m, depth, edge, seed, direction):
     def c_obstruction_w():
         h = _zero_hom(tensor(ea.map.src, F), tensor(F, F))
         wv, v = w_cycle(ea, h)
-        return v.status, "self obstruction cycle assembled and checked"
+        return _outcome(v, "self obstruction cycle assembled and checked")
 
     def c_cones_commute():
         cert = certificates()[("z", 0, 1)]
         if cert is None:
             return FAIL, "no certificate"
         v = cones_commute_equivalence(eb.map, ea.map, cert)
-        return v.status, "explicit equivalence commuting the eigencones"
+        return _outcome(v, "explicit equivalence commuting the eigencones")
 
     def c_self_obstruction():
         for e in (ea, eb):
             cert, cv = self_obstruction_certificate(e.map)
             if not cv.passed:
-                return cv.status, "no bounding data"
+                return _outcome(cv, "no bounding data")
             v = self_obstruction_consequence(e.map, cert)
             if not v.passed:
-                return v.status, "cone square fails to split"
+                return _outcome(v, "cone square fails to split")
         return PASS, "cone squares split off the shifted source"
 
     def c_semisimple():
@@ -239,12 +251,14 @@ def _cyclic_checks(ring_name, m, depth, edge, seed, direction):
         ("self_obstruction", c_self_obstruction),
         ("semisimple_collapse", c_semisimple),
     ]
-    applicable = {
-        "f2": {cid for cid, _ in order} - {"semisimple_collapse"},
-        "z": {"pd1", "pd2", "obstruction_z", "obstruction_w",
-              "cones_commute", "self_obstruction"},
-        "q": {"semisimple_collapse"},
-    }[ring_name]
+    if not ring.is_field:
+        applicable = {"pd1", "pd2", "obstruction_z", "obstruction_w",
+                      "cones_commute", "self_obstruction"}
+    elif ring.p is None or m % ring.p:
+        # Maschke: k[x]/(x^m - 1) is semisimple when char k does not divide m
+        applicable = {"semisimple_collapse"}
+    else:
+        applicable = {cid for cid, _ in order} - {"semisimple_collapse"}
     return order, applicable
 
 
@@ -318,11 +332,12 @@ def _mixed_checks():
     def c_lambda():
         lam = mixed_eigencone(a, b)
         v = is_contractible(lam)
-        return v.status, "the interpolating object is contractible"
+        return _outcome(v, "the interpolating object is contractible")
 
     def c_split():
         v = is_split_eigenobject(a, b, F)
-        return v.status, "the two-term model splits into shifts as displayed"
+        return _outcome(
+            v, "the two-term model splits into shifts as displayed")
 
     def c_not_split():
         C = Complex(alg, -1, [one, one], [mk(4)])

@@ -1,7 +1,9 @@
-"""Exact dense linear algebra over Q, F_p and Z.
+"""Exact linear algebra over Q, F_p and Z.
 
 Elements are Fraction (Q), int in [0, p) (F_p) or int (Z); no floating point
-anywhere.  Matrices are immutable, dense, row-major.
+anywhere.  Matrices are immutable, dense, row-major.  ``rref``, ``kernel``
+and ``solve`` share one sparse Gauss-Jordan elimination that pivots only on
+units; over Z the Smith normal form is taken only of the rows it leaves.
 """
 
 from fractions import Fraction
@@ -362,7 +364,7 @@ def matrix_from_json(ring, obj):
                   _trusted=True)
 
 
-# -- row reduction over fields ------------------------------------------------
+# -- sparse elimination on unit pivots -----------------------------------------
 
 class RrefResult:
     __slots__ = ("rank", "pivots", "reduced")
@@ -373,11 +375,71 @@ class RrefResult:
         self.reduced = reduced
 
 
-def _abs_key(ring, x):
-    # pivot preference: smallest "absolute value" nonzero entry
-    if ring.kind == "fp":
-        return x
-    return abs(x)
+def _sparse_rows(m):
+    n, e = m.cols, m.entries
+    return [{j: v for j, v in enumerate(e[i * n:(i + 1) * n]) if v}
+            for i in range(m.rows)]
+
+
+def _dense(ring, rows, nrows, ncols):
+    """The nrows x ncols matrix whose leading rows are the sparse ``rows``."""
+    flat = [ring.zero()] * (nrows * ncols)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            flat[i * ncols + j] = v
+    return Matrix(ring, nrows, ncols, flat, _trusted=True)
+
+
+def _reduce(ring, rows, ncols):
+    """Gauss-Jordan elimination of sparse ``{col: value}`` rows on unit pivots.
+
+    Columns ``0 .. ncols-1`` are taken in order.  The pivot is a unit (any
+    nonzero over a field, +-1 over Z) in the sparsest live row that has
+    one; it is scaled to 1 and cleared from every other row.  Over Z a
+    column whose live entries are all non-units is deferred.  Entries in
+    columns ``>= ncols`` ride along (right-hand sides).  The rows are
+    consumed.
+
+    Returns ``(pivots, prows, rest)``: the pivot columns, their rows, and
+    the nonzero rows left without a pivot.  Over a field the pivot rows are
+    the reduced row echelon form and ``rest`` touches only columns
+    ``>= ncols``; over Z ``rest`` touches only deferred columns and those.
+    Every step is invertible over the ring (unimodular over Z), so the row
+    space, kernel and integer solutions are unchanged.
+    """
+    p = ring.p
+    integral = not ring.is_field
+    live = [r for r in rows if r]
+    pivots, prows = [], []
+    for c in range(ncols):
+        best = None
+        for i, r in enumerate(live):
+            v = r.get(c)
+            if v is not None and (not integral or v == 1 or v == -1) \
+                    and (best is None or len(r) < len(live[best])):
+                best = i
+        if best is None:
+            continue
+        prow = live.pop(best)
+        inv = ring.inv(prow[c])
+        if inv != 1:
+            prow = {j: ring.mul(inv, v) for j, v in prow.items()}
+        for rows_ in (prows, live):
+            for r in rows_:
+                f = r.get(c)
+                if f is None:
+                    continue
+                for j, v in prow.items():
+                    w = r.get(j, 0) - f * v
+                    if p:
+                        w %= p
+                    if w:
+                        r[j] = w
+                    else:
+                        del r[j]
+        pivots.append(c)
+        prows.append(prow)
+    return pivots, prows, [r for r in live if r]
 
 
 def rref(m):
@@ -385,33 +447,44 @@ def rref(m):
     ring = m.ring
     if not ring.is_field:
         raise IntegerRingUnsupported("rref requires a field; use hnf/snf over Z")
-    rowlists = m.tolists()
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        if r >= m.rows:
-            break
-        best, piv = None, None
-        for i in range(r, m.rows):
-            v = rowlists[i][c]
-            if v != 0:
-                k = _abs_key(ring, v)
-                if best is None or k < best:
-                    best, piv = k, i
-        if piv is None:
-            continue
-        rowlists[r], rowlists[piv] = rowlists[piv], rowlists[r]
-        inv = ring.inv(rowlists[r][c])
-        rowlists[r] = [ring.mul(inv, x) for x in rowlists[r]]
-        for i in range(m.rows):
-            if i != r and rowlists[i][c] != 0:
-                f = rowlists[i][c]
-                rowlists[i] = [ring.sub(x, ring.mul(f, y))
-                               for x, y in zip(rowlists[i], rowlists[r])]
-        pivots.append(c)
-        r += 1
-    reduced = Matrix.from_rows(ring, rowlists) if m.rows else m
-    return RrefResult(len(pivots), pivots, reduced)
+    pivots, prows, _ = _reduce(ring, _sparse_rows(m), m.cols)
+    return RrefResult(len(pivots), pivots,
+                      _dense(ring, prows, m.rows, m.cols))
+
+
+def _lift(ring, ncols, k, pivots, prows, assigned):
+    """The ncols x k solution whose non-pivot rows are ``assigned`` (row ->
+    {column: value}) and whose pivot rows satisfy the pivot equations: a
+    pivot row's entries from column ``ncols`` on, minus the pivot row
+    times the assigned rows."""
+    p = ring.p
+    out = [ring.zero()] * (ncols * k)
+    for j, row in assigned.items():
+        for t, v in row.items():
+            out[j * k + t] = v
+    for pc, prow in zip(pivots, prows):
+        o = pc * k
+        for j, v in prow.items():
+            if j >= ncols:
+                out[o + j - ncols] += v
+            elif j in assigned:
+                for t, w in assigned[j].items():
+                    out[o + t] -= v * w
+        if p:
+            out[o:o + k] = [x % p for x in out[o:o + k]]
+    return Matrix(ring, ncols, k, out, _trusted=True)
+
+
+def _residual(ring, rest, ncols, k):
+    """The rows left without a unit pivot as dense matrices: their entries
+    in the columns below ``ncols`` that they touch, and their ``k`` columns
+    from ``ncols`` on.  Returns (touched columns, left part, right part)."""
+    cols = sorted({j for r in rest for j in r if j < ncols})
+    pos = {c: i for i, c in enumerate(cols)}
+    left = [{pos[j]: v for j, v in r.items() if j < ncols} for r in rest]
+    right = [{j - ncols: v for j, v in r.items() if j >= ncols} for r in rest]
+    return (cols, _dense(ring, left, len(rest), len(cols)),
+            _dense(ring, right, len(rest), k))
 
 
 # -- Hermite / Smith over Z ----------------------------------------------------
@@ -537,61 +610,60 @@ def snf(m):
 
 
 def kernel(m):
-    """Basis of the right kernel as matrix columns; saturated over Z."""
+    """Basis of the right kernel as matrix columns; saturated over Z.
+
+    One column per free column (no pivot, untouched by the residual), then,
+    over Z, one per kernel vector of the residual's Smith form."""
     ring = m.ring
-    if ring.is_field:
-        res = rref(m)
-        free = [c for c in range(m.cols) if c not in res.pivots]
-        kb = [ring.zero()] * (m.cols * len(free))
-        for k, fc in enumerate(free):
-            kb[fc * len(free) + k] = ring.one()
-            for r, pc in enumerate(res.pivots):
-                kb[pc * len(free) + k] = ring.neg(res.reduced[r, fc])
-        return Matrix(ring, m.cols, len(free), kb, _trusted=True)
-    d, s, t = snf(m)
-    n = min(m.rows, m.cols)
-    free = [j for j in range(m.cols) if j >= n or d[j, j] == 0]
-    if not free:
-        return Matrix.zeros(ring, m.cols, 0)
-    return t.submatrix(range(m.cols), free)
+    pivots, prows, rest = _reduce(ring, _sparse_rows(m), m.cols)
+    cols, res, _ = _residual(ring, rest, m.cols, 0)
+    taken = set(pivots).union(cols)
+    free = [c for c in range(m.cols) if c not in taken]
+    assigned = {c: {t: ring.one()} for t, c in enumerate(free)}
+    k = len(free)
+    if rest:
+        d, _, t = snf(res)
+        n = min(d.rows, d.cols)
+        null = [j for j in range(d.cols) if j >= n or d[j, j] == 0]
+        for i, c in enumerate(cols):
+            assigned[c] = {k + u: t[i, j] for u, j in enumerate(null)
+                           if t[i, j]}
+        k += len(null)
+    return _lift(ring, m.cols, k, pivots, prows, assigned)
 
 
 def solve(a, b):
     """Solve a*x = b exactly; returns one particular solution or None.
 
     b may have several columns; the particular solution then has the same
-    number of columns.  Over Z the solution is Diophantine-exact.
+    number of columns.  Over Z the solution is Diophantine-exact: the
+    residual left by unit elimination is solved through its Smith form.
     """
     if a.ring != b.ring or a.rows != b.rows:
         raise ValueError("shape/ring mismatch")
     ring = a.ring
-    if ring.is_field:
-        aug = a.hstack(b)
-        res = rref(aug)
-        # any pivot in the b-columns means inconsistency
-        if any(p >= a.cols for p in res.pivots):
-            return None
-        z = ring.zero()
-        part = [z] * (a.cols * b.cols)
-        for r, pc in enumerate(res.pivots):
+    rows = _sparse_rows(a)
+    for row, extra in zip(rows, _sparse_rows(b)):
+        row.update((a.cols + j, v) for j, v in extra.items())
+    pivots, prows, rest = _reduce(ring, rows, a.cols)
+    assigned = {}
+    if rest:
+        if ring.is_field:
+            return None  # some row of a reduced to zero, its b part did not
+        cols, res, rhs = _residual(ring, rest, a.cols, b.cols)
+        d, s, t = snf(res)
+        sb = s * rhs
+        n = min(d.rows, d.cols)
+        y = [0] * (d.cols * b.cols)
+        for i in range(d.rows):
+            di = d[i, i] if i < n else 0
             for j in range(b.cols):
-                part[pc * b.cols + j] = res.reduced[r, a.cols + j]
-        return Matrix(ring, a.cols, b.cols, part, _trusted=True)
-    d, s, t = snf(a)
-    sb = s * b
-    n = min(a.rows, a.cols)
-    z = 0
-    y = [z] * (a.cols * b.cols)
-    for i in range(a.rows):
-        di = d[i, i] if i < n else 0
-        for j in range(b.cols):
-            v = sb[i, j]
-            if di == 0:
-                if v != 0:
+                v = sb[i, j]
+                if (v % di if di else v) != 0:
                     return None
-            else:
-                if v % di != 0:
-                    return None
-                if i < a.cols:
+                if di:
                     y[i * b.cols + j] = v // di
-    return t * Matrix(ring, a.cols, b.cols, y, _trusted=True)
+        x = t * Matrix(ring, d.cols, b.cols, y, _trusted=True)
+        for i, c in enumerate(cols):
+            assigned[c] = {j: x[i, j] for j in range(b.cols) if x[i, j]}
+    return _lift(ring, a.cols, b.cols, pivots, prows, assigned)

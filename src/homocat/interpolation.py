@@ -65,6 +65,9 @@ def default_window(f):
     return TruncationWindow(12, 2 * (f.max_deg - f.min_deg + 1) + 2)
 
 
+EMPTY_WINDOW = "stable window is empty"
+
+
 def window_bounds(c, w, direction=DEFAULT_DIRECTION):
     """Degree range of the stable window of a truncated complex."""
     if direction == "above":
@@ -467,7 +470,7 @@ def triangle_check(a, b, w, direction=DEFAULT_DIRECTION, seed=0xC0FFEE):
         else:
             lo, hi = min(lo1, lo2), min(hi1, hi2)
         if lo > hi:
-            return Verdict(INCONCLUSIVE, reason="edge: window is empty"), None
+            return Verdict(INCONCLUSIVE, reason=EMPTY_WINDOW), None
         r1 = restrict(cn, lo, hi)
         r2 = restrict(ptp.complex, lo, hi)
         cand = restrict_map(phi, lo, hi) if phi is not None else None
@@ -841,7 +844,7 @@ def verify_eigenaction(maps, i, w, certificates=None,
                                         "complexes"), None
         lo, hi = window_bounds(m1.tgt, wk, direction)
         if lo > hi:
-            return Verdict(INCONCLUSIVE, reason="edge: window is empty"), None
+            return Verdict(INCONCLUSIVE, reason=EMPTY_WINDOW), None
         v = solve_null_homotopy(m1 - m2, equation_degrees=(lo, hi))
         clo, chi = window_bounds(C, wk, direction)
         return v, (restrict(C, clo, chi), clo, chi)

@@ -171,3 +171,28 @@ def test_imports_only_the_standard_library():
     third_party = {n.split(".")[0] for n in loaded} \
         - set(sys.stdlib_module_names) - {"homocat"}
     assert not third_party
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_empty_stable_window_is_inconclusive(depth):
+    proc = run_python("-m", "homocat.cli", "demo", "cyclic",
+                      "--depth", str(depth), "--format", "json")
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2
+    checks = json.loads(proc.stdout)["checks"]
+    assert "FAIL" not in {r["status"] for r in checks}
+    inconclusive = {r["id"]: r["detail"] for r in checks
+                    if r["status"] == "INCONCLUSIVE"}
+    assert "decomposition_of_identity" in inconclusive
+    assert all("stable window is empty" in d for d in inconclusive.values())
+
+
+def test_f2_with_odd_m_is_semisimple(capsys):
+    """char 2 does not divide 3, so F2[x]/(x^3 - 1) is semisimple: the
+    collapse check runs and the non-semisimple checks are skipped."""
+    code = main(["demo", "cyclic", "--m", "3", "--format", "json"])
+    by_id = {r["id"]: r["status"]
+             for r in json.loads(capsys.readouterr().out)["checks"]}
+    assert code == 0
+    assert by_id.pop("semisimple_collapse") == "PASS"
+    assert set(by_id.values()) == {"SKIPPED"}

@@ -6,7 +6,7 @@ import pytest
 from homocat.exactlinalg import (
     GroundRing, PrimeField, Rationals, Integers, Matrix,
     IntegerRingUnsupported, rref, hnf, snf, kernel, solve,
-    matrix_to_json, matrix_from_json,
+    matrix_to_json, matrix_from_json, _reduce, _sparse_rows,
 )
 
 F2 = PrimeField(2)
@@ -163,3 +163,119 @@ def test_roundtrip_100_seeded(ringname, ring):
         assert m * solve(m, m * x) == m * x
         # serialization round trip
         assert matrix_from_json(ring, matrix_to_json(m)) == m
+
+
+# -- the sparse unit-pivot elimination against independent references --------
+
+def _sparse_matrix(ring, rng, max_dim=10):
+    rows = rng.randrange(1, max_dim + 1)
+    cols = rng.randrange(1, max_dim + 1)
+    ent = [[rng.randrange(-2, 3) if rng.random() < 0.35 else 0
+            for _ in range(cols)] for _ in range(rows)]
+    return Matrix.from_rows(ring, ent)
+
+
+def _textbook_rref(m):
+    """Dense Gauss-Jordan over a field, pivoting on the first nonzero."""
+    ring = m.ring
+    a = m.tolists()
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = ring.inv(a[r][c])
+        a[r] = [ring.mul(inv, x) for x in a[r]]
+        for i in range(m.rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [ring.sub(x, ring.mul(f, y))
+                        for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return pivots, Matrix.from_rows(ring, a)
+
+
+def _smith_solvable(a, b):
+    """Whether a*x = b has an integer solution, read off snf(a)."""
+    d, s, _ = snf(a)
+    sb = s * b
+    for i in range(a.rows):
+        di = d[i, i] if i < min(a.rows, a.cols) else 0
+        for j in range(b.cols):
+            if (sb[i, j] != 0) if di == 0 else (sb[i, j] % di != 0):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("ringname,ring", [("f2", F2), ("f5", F5), ("q", Q)])
+def test_rref_matches_textbook_dense_rref(ringname, ring):
+    rng = random.Random("sparse-rref-" + ringname)
+    for _ in range(200):
+        m = _sparse_matrix(ring, rng)
+        pivots, reduced = _textbook_rref(m)
+        r = rref(m)
+        assert r.pivots == pivots and r.rank == len(pivots)
+        assert r.reduced == reduced
+        # the kernel basis read off the reference: e_f - sum reduced[r, f] e_p
+        free = [c for c in range(m.cols) if c not in pivots]
+        ref = [[ring.one() if c == f else ring.zero() for f in free]
+               for c in range(m.cols)]
+        for row, pc in enumerate(pivots):
+            ref[pc] = [ring.neg(reduced[row, f]) for f in free]
+        assert kernel(m) == Matrix(ring, m.cols, len(free),
+                                   [x for row in ref for x in row])
+
+
+def test_integer_kernel_and_solve_against_smith_form():
+    rng = random.Random("sparse-z")
+    for _ in range(200):
+        a = _sparse_matrix(Z, rng)
+        k = kernel(a)
+        assert (a * k).is_zero()
+        assert k.cols == a.cols - rref(Matrix(Q, a.rows, a.cols,
+                                              a.entries)).rank
+        if k.cols:  # saturated: every invariant factor is 1
+            d, _, _ = snf(k)
+            assert all(d[i, i] == 1 for i in range(k.cols))
+        x = Matrix.from_rows(Z, [[rng.randrange(-2, 3) for _ in range(2)]
+                                 for _ in range(a.cols)])
+        noise = Matrix(Z, a.rows, 2,
+                       [rng.randrange(-3, 4) for _ in range(2 * a.rows)])
+        for b in (a * x, noise):
+            got = solve(a, b)
+            assert (got is not None) == _smith_solvable(a, b)
+            if got is not None:
+                assert a * got == b
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 3], [3, 5]],  # unimodular, no +-1 in column 0
+    [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+    [[1, 1, 0], [0, 2, 4], [0, 4, 2]],  # a unit pivot, then a residual
+], ids=["unimodular", "two-identity", "unit-then-residual"])
+def test_integer_residual_path(rows):
+    a = M(Z, rows)
+    assert _reduce(Z, _sparse_rows(a), a.cols)[2], "leaves a residual"
+    assert kernel(a).cols == 0
+    n = a.rows
+    rhs = [Matrix(Z, n, 1, [int(i == j) for i in range(n)]) for j in range(n)]
+    for b in rhs + [a * Matrix(Z, n, 1, [1] * n)]:
+        got = solve(a, b)
+        assert (got is not None) == _smith_solvable(a, b)
+        if got is not None:
+            assert a * got == b
+
+
+def test_unimodular_without_unit_entries_is_inverted():
+    a = M(Z, [[2, 3], [3, 5]])
+    assert solve(a, Matrix.identity(Z, 2)) == M(Z, [[5, -3], [-3, 2]])
+    assert solve(Matrix.identity(Z, 2).scale(2), M(Z, [[1], [0]])) is None
+
+
+def test_two_x_equals_four_and_three():
+    two = M(Z, [[2]])
+    assert _reduce(Z, _sparse_rows(two), 1)[2], "leaves a residual"
+    assert solve(two, M(Z, [[4]])) == M(Z, [[2]])
+    assert solve(two, M(Z, [[3]])) is None
