@@ -21,9 +21,10 @@ from .eigen import (
 )
 from .interpolation import (
     TruncationWindow, build_Cab, build_Cba, periodicity_map, canonical_map,
-    window_restrict, window_bounds, EMPTY_WINDOW,
+    window_bounds, EMPTY_WINDOW,
     verify_compact_description, verify_P_koszul, build_P,
-    quasi_idempotent_check, verify_eigenaction,
+    quasi_idempotent_check, verify_eigenaction, check_ladder,
+    SmallnessViolated,
 )
 from .diagonalize import (
     verify_orthogonality, verify_idempotence,
@@ -128,17 +129,18 @@ def _cyclic_checks(ring_name, m, depth, edge, seed, direction):
 
     def c_projector_form():
         Pa, Pb = projectors()
-        win = window_restrict(Pb.complex, w, direction=direction)
-        if win is None:
+        lo, hi = window_bounds(Pb.complex, w, direction=direction)
+        if lo >= hi:
             return INCONCLUSIVE, EMPTY_WINDOW
-        r = minimize(win).minimal
-        interior = [d for d in r.degrees()
-                    if r.term(d).dim and d != max(r.degrees())]
-        ok = all(r.term(d).dim == m for d in interior) \
-            and r.term(max(r.degrees())).dim == 1
-        return (PASS if ok else FAIL,
-                "one regular module per stable degree with the trivial "
-                "module on top")
+        r = minimize(restrict(Pb.complex, lo, hi)).minimal
+        # judge only the degrees strictly inside the cut edge
+        bad = [d for d in range(lo + 1, hi + 1)
+               if r.term(d).dim != (1 if d == hi else m)]
+        detail = ("one regular module per stable degree with the trivial "
+                  "module on top")
+        if bad:
+            return FAIL, f"{detail}: wrong dimension in degrees {bad}"
+        return PASS, detail
 
     def c_orthogonality():
         Pa, Pb = projectors()
@@ -163,6 +165,8 @@ def _cyclic_checks(ring_name, m, depth, edge, seed, direction):
         return _outcome(v, "projectors detect exactly the eigenobjects")
 
     def c_periodicity():
+        # the predicted shifts below hold for a ladder small in direction
+        check_ladder([eb, ea], direction)
         for build, e, sh in ((build_Cab, ea, 2), (build_Cba, eb, 0)):
             tp = build(ea, eb, w, direction=direction)
             u = periodicity_map(tp)
@@ -368,7 +372,10 @@ def run_checks(order, applicable, selected=None):
                             "detail": "not applicable over this ring",
                             "timing_ms": 0})
             continue
-        status, detail = fn()
+        try:
+            status, detail = fn()
+        except SmallnessViolated as ex:
+            status, detail = INCONCLUSIVE, str(ex)
         records.append({"id": cid, "status": status, "detail": detail,
                         "timing_ms": 0})
     return records

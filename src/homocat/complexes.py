@@ -678,8 +678,8 @@ def restrict_map(f, lo, hi):
 class SplitComplex:
     """An isomorphic copy of a complex with block-diagonal terms.
 
-    blocks[d] is a list of (tag, offset, dim) describing the indecomposable
-    summands of term(d); to_orig / from_orig are inverse isomorphisms.
+    blocks[d] is a list of (tag, dim) describing the indecomposable summands
+    of term(d) in order; to_orig / from_orig are inverse isomorphisms.
     """
 
     __slots__ = ("conj", "blocks", "to_orig", "from_orig")
@@ -691,56 +691,36 @@ class SplitComplex:
         self.from_orig = from_orig
 
 
-def _matrix_inverse(m):
-    inv = solve(m, Matrix.identity(m.ring, m.rows))
-    assert inv is not None, "matrix must be invertible"
-    return inv
-
-
 def split_complex(c):
     """Conjugate every term into its indecomposable decomposition (fields),
     or treat each basis vector as a rank-one block over Z when x acts by 1."""
     ring = c.alg.ring
-    blocks = {}
-    basis = {}
-    if ring.is_field:
-        for d in c.degrees():
-            dec = decompose(c.term(d))
-            bl = []
-            off = 0
-            for t in dec.tags:
-                bl.append((t, off, t.dim))
-                off += t.dim
-            blocks[d] = bl
-            basis[d] = dec.basis
-    elif c.alg.m == 1:
-        for d in c.degrees():
-            n = c.term(d).dim
-            blocks[d] = [(None, i, 1) for i in range(n)]
-            basis[d] = Matrix.identity(ring, n)
-    else:
+    if not ring.is_field and c.alg.m != 1:
         raise IntegerRingUnsupported(
             "splitting over Z needs a rank-one presentation")
+    blocks = {}
+    basis = {}
+    binv = {}
+    for d in c.degrees():
+        n = c.term(d).dim
+        if ring.is_field:
+            dec = decompose(c.term(d))
+            blocks[d] = [(t, t.dim) for t in dec.tags]
+            basis[d], binv[d] = dec.basis, dec.inverse
+        else:
+            blocks[d] = [(None, 1)] * n
+            basis[d] = binv[d] = Matrix.identity(ring, n)
     terms = []
     diffs = []
-    binv = {d: _matrix_inverse(basis[d]) for d in c.degrees()}
     for d in c.degrees():
         xa = binv[d] * c.term(d).x_action * basis[d]
         terms.append(Module(c.alg, c.term(d).dim, xa, check=False))
     for d in range(c.min_deg, c.max_deg):
         diffs.append(binv[d + 1] * c.diff(d) * basis[d])
     conj = Complex(c.alg, c.min_deg, terms, diffs, check=False)
-    to_orig = ChainMap(conj, c, 0, {d: basis[d] for d in c.degrees()},
-                       check=False)
-    from_orig = ChainMap(c, conj, 0, {d: binv[d] for d in c.degrees()},
-                         check=False)
+    to_orig = ChainMap(conj, c, 0, basis, check=False)
+    from_orig = ChainMap(c, conj, 0, binv, check=False)
     return SplitComplex(conj, blocks, to_orig, from_orig)
-
-
-def _scatter(ring, rows, cols, entries_fn):
-    e = [ring.zero()] * (rows * cols)
-    entries_fn(e, cols)
-    return Matrix(ring, rows, cols, e, _trusted=True)
 
 
 def _is_invertible(m):
@@ -776,180 +756,106 @@ def maps_equal(f, g):
     return True
 
 
+def _spans(blocks):
+    """(tag, index range) of each (tag, dim) block, in order."""
+    off = 0
+    for tag, dim in blocks:
+        yield tag, range(off, off + dim)
+        off += dim
+
+
+def _first_invertible_pair(dd, src, tgt):
+    """(si, ti, s, t, alpha^-1) for the first block pair in lexicographic
+    order whose block alpha = dd[t, s] is invertible; s and t are the column
+    and row ranges.  Only pairs with equal tags are tried: an invertible
+    intertwiner joins isomorphic summands."""
+    for si, (stag, s) in enumerate(_spans(src)):
+        for ti, (ttag, t) in enumerate(_spans(tgt)):
+            if stag == ttag:
+                ainv = solve(dd.submatrix(t, s),
+                             Matrix.identity(dd.ring, len(s)))
+                if ainv is not None:
+                    return si, ti, s, t, ainv
+    return None
+
+
+def _rows(m, idx):
+    return m.submatrix(idx, range(m.cols))
+
+
+def _cols(m, idx):
+    return m.submatrix(range(m.rows), idx)
+
+
 def minimize(c, retract=True):
     """Gaussian-eliminate invertible differential blocks, keeping a strong
     deformation retract (incl, proj, h) onto the minimal complex.
 
-    Deterministic: scan lowest degree first, then lexicographic block pairs.
-    With retract=False the retract data is not accumulated (incl, proj and h
-    come back as None); composing it per elimination step dominates the cost
-    on large complexes, so callers that only need the minimal model should
-    opt out.
+    One forward sweep over the degrees of the split complex: in degree d the
+    first invertible block pair (lexicographic) is cancelled, d_d becomes
+    its Schur complement, and the search in d starts again.  Cancelling in
+    degree d only deletes rows of d_{d-1}, so a finished degree never gains
+    an invertible pair.  With retract=False the retract data is not
+    accumulated (incl, proj and h come back as None); it is the larger part
+    of the cost on large complexes, so callers that only need the minimal
+    model should opt out.
     """
     sp = split_complex(c)
-    cur = sp.conj
-    blocks = {d: list(bl) for d, bl in sp.blocks.items()}
-    incl = sp.to_orig
-    proj = sp.from_orig
-    h = Homotopy(c, c, -1, {})
-    ring = c.alg.ring
-
-    while True:
-        found = None
-        for d in sorted(blocks):
-            if d + 1 not in blocks:
-                continue
-            for si, (stag, soff, sdim) in enumerate(blocks[d]):
-                for ti, (ttag, toff, tdim) in enumerate(blocks[d + 1]):
-                    if sdim != tdim or sdim == 0:
-                        continue
-                    sub = cur.diff(d).submatrix(range(toff, toff + tdim),
-                                                range(soff, soff + sdim))
-                    if _is_invertible(sub):
-                        found = (d, si, ti, sub)
-                        break
-                if found:
-                    break
-            if found:
+    lo = c.min_deg
+    xs = [t.x_action for t in sp.conj.terms]
+    diffs = list(sp.conj.diffs)
+    blocks = [list(sp.blocks[d]) for d in c.degrees()]
+    if retract:
+        incl = [sp.to_orig.comp(d) for d in c.degrees()]
+        proj = [sp.from_orig.comp(d) for d in c.degrees()]
+        h = {}
+    del sp  # frees each split matrix as soon as the sweep replaces it
+    for i in range(len(diffs)):
+        dd = diffs[i]
+        while True:
+            pair = _first_invertible_pair(dd, blocks[i], blocks[i + 1])
+            if pair is None:
                 break
-        if not found:
-            break
-        d, si, ti, alpha = found
-        stag, soff, sdim = blocks[d][si]
-        ttag, toff, tdim = blocks[d + 1][ti]
-        ainv = _matrix_inverse(alpha)
-        nd = cur.term(d).dim
-        nd1 = cur.term(d + 1).dim
-        scols = list(range(soff, soff + sdim))
-        xcols = [j for j in range(nd) if j not in scols]
-        trows = list(range(toff, toff + tdim))
-        yrows = [i for i in range(nd1) if i not in trows]
-        Dd = cur.diff(d)
-        beta = Dd.submatrix(trows, xcols)
-        gamma = Dd.submatrix(yrows, scols)
-        delta = Dd.submatrix(yrows, xcols)
-        new_dd = delta - gamma * ainv * beta
+            si, ti, s, t, ainv = pair
+            keep_s = [j for j in range(dd.cols) if j not in s]
+            keep_t = [j for j in range(dd.rows) if j not in t]
+            beta = dd.submatrix(t, keep_s)
+            gamma_ainv = dd.submatrix(keep_t, s) * ainv
+            dd = dd.submatrix(keep_t, keep_s) - gamma_ainv * beta
+            if i:
+                diffs[i - 1] = _rows(diffs[i - 1], keep_s)
+            if i + 1 < len(diffs):
+                diffs[i + 1] = _cols(diffs[i + 1], keep_t)
+            xs[i] = xs[i].submatrix(keep_s, keep_s)
+            xs[i + 1] = xs[i + 1].submatrix(keep_t, keep_t)
+            del blocks[i][si], blocks[i + 1][ti]
+            if retract:
+                incl_s = _cols(incl[i], s)
+                proj_t = _rows(proj[i + 1], t)
+                step = incl_s * ainv * proj_t
+                k = lo + i + 1
+                h[k] = h[k] + step if k in h else step
+                incl[i] = _cols(incl[i], keep_s) - incl_s * (ainv * beta)
+                incl[i + 1] = _cols(incl[i + 1], keep_t)
+                proj[i] = _rows(proj[i], keep_s)
+                proj[i + 1] = _rows(proj[i + 1], keep_t) - gamma_ainv * proj_t
+        diffs[i] = dd
 
-        # assemble the new complex
-        terms = []
-        diffs = []
-        for deg in cur.degrees():
-            if deg == d:
-                xa = cur.term(deg).x_action.submatrix(xcols, xcols)
-                terms.append(Module(c.alg, len(xcols), xa, check=False))
-            elif deg == d + 1:
-                xa = cur.term(deg).x_action.submatrix(yrows, yrows)
-                terms.append(Module(c.alg, len(yrows), xa, check=False))
-            else:
-                terms.append(cur.term(deg))
-        for deg in range(cur.min_deg, cur.max_deg):
-            if deg == d - 1:
-                diffs.append(cur.diff(deg).submatrix(xcols,
-                                                     range(cur.term(deg).dim)))
-            elif deg == d:
-                diffs.append(new_dd)
-            elif deg == d + 1:
-                diffs.append(cur.diff(deg).submatrix(
-                    range(cur.term(deg + 1).dim), yrows))
-            else:
-                diffs.append(cur.diff(deg))
-        new_cur = Complex(c.alg, cur.min_deg, terms, diffs, check=False)
-
-        # step retract data (relative to cur)
-        if retract:
-            m_ab = (-(ainv * beta))
-            iota_d = _scatter(ring, nd, len(xcols), lambda e, C: _fill_rows(
-                e, C, scols, m_ab) or _fill_eye(e, C, xcols, ring))
-            iota_d1 = _scatter(ring, nd1, len(yrows), lambda e, C: _fill_eye(
-                e, C, yrows, ring))
-            pi_d = _scatter(ring, len(xcols), nd, lambda e, C: _fill_cols_eye(
-                e, C, xcols, ring))
-            m_ga = -(gamma * ainv)
-            pi_d1 = _scatter(ring, len(yrows), nd1, lambda e, C: _fill_cols(
-                e, C, trows, m_ga) or _fill_cols_eye(e, C, yrows, ring))
-            h_d1 = _scatter(ring, nd, nd1, lambda e, C: _fill_block(
-                e, C, scols, trows, ainv))
-
-            iota_comps = {}
-            pi_comps = {}
-            for deg in cur.degrees():
-                if deg == d:
-                    iota_comps[deg] = iota_d
-                    pi_comps[deg] = pi_d
-                elif deg == d + 1:
-                    iota_comps[deg] = iota_d1
-                    pi_comps[deg] = pi_d1
-                else:
-                    iota_comps[deg] = Matrix.identity(ring,
-                                                      cur.term(deg).dim)
-                    pi_comps[deg] = Matrix.identity(ring, cur.term(deg).dim)
-            iota = ChainMap(new_cur, cur, 0, iota_comps, check=False)
-            pi = ChainMap(cur, new_cur, 0, pi_comps, check=False)
-            h_step = Homotopy(cur, cur, -1, {d + 1: h_d1})
-
-            h = h + incl.compose(h_step).compose(proj)
-            incl = incl.compose(iota)
-            proj = pi.compose(proj)
-
-        # update blocks with recomputed offsets
-        newb = {}
-        for deg, bl in blocks.items():
-            if deg == d:
-                keep = [b for k, b in enumerate(bl) if k != si]
-            elif deg == d + 1:
-                keep = [b for k, b in enumerate(bl) if k != ti]
-            else:
-                keep = bl
-            off = 0
-            nb = []
-            for (tag, _, dim) in keep:
-                nb.append((tag, off, dim))
-                off += dim
-            newb[deg] = nb
-        blocks = newb
-        cur = new_cur
-
-    minimal = Complex(c.alg, cur.min_deg, list(cur.terms), list(cur.diffs))
-    tagonly = {d: [b[0] for b in bl] for d, bl in blocks.items() if bl}
+    terms = [Module(c.alg, x.rows, x, check=False) for x in xs]
+    minimal = Complex(c.alg, lo, terms, diffs)
+    tagonly = {d: [t for t, _ in bl]
+               for d, bl in zip(c.degrees(), blocks) if bl}
     if not retract:
         return MinimizeResult(minimal, tagonly, None, None, None)
     incl = ChainMap(minimal, c, 0,
-                    {d: incl.comp(d) for d in minimal.degrees()}, check=True)
-    proj = ChainMap(c, minimal, 0,
-                    {d: proj.comp(d) for d in c.degrees()}, check=True)
+                    {d: incl[d - lo] for d in minimal.degrees()}, check=True)
+    proj = ChainMap(c, minimal, 0, dict(zip(c.degrees(), proj)), check=True)
+    h = Homotopy(c, c, -1, h)
     # exact retract identities
     assert maps_equal(proj.compose(incl), identity_map(minimal))
     defect = identity_map(c) - incl.compose(proj)
     assert maps_equal(bracket(h), defect), "retract homotopy identity fails"
     return MinimizeResult(minimal, tagonly, incl, proj, h)
-
-
-def _fill_rows(e, C, rows, m):
-    for i, r in enumerate(rows):
-        for j in range(m.cols):
-            e[r * C + j] = m[i, j]
-
-
-def _fill_eye(e, C, rows, ring):
-    for j, r in enumerate(rows):
-        e[r * C + j] = ring.one()
-
-
-def _fill_cols(e, C, cols, m):
-    for i in range(m.rows):
-        for j, cc in enumerate(cols):
-            e[i * C + cc] = m[i, j]
-
-
-def _fill_cols_eye(e, C, cols, ring):
-    for i, cc in enumerate(cols):
-        e[i * C + cc] = ring.one()
-
-
-def _fill_block(e, C, rows, cols, m):
-    for i, r in enumerate(rows):
-        for j, cc in enumerate(cols):
-            e[r * C + cc] = m[i, j]
 
 
 # -- chain map spaces and equivalence ----------------------------------------------

@@ -223,8 +223,12 @@ def tightness_spot_check(a_list, p_list, test_objects,
                                reason=f"{EMPTY_WINDOW} for index {i}, "
                                       f"object {k}")
             r, ilo, ihi = piece
-            fixed = equivalent(restrict(r, ilo, ihi),
-                               restrict(mm, ilo, ihi), seed=seed)
+            seen = restrict(mm, ilo, ihi)
+            if seen.is_zero() and not mm.is_zero():
+                return Verdict(INCONCLUSIVE,
+                               reason=f"stable window for index {i} misses "
+                                      f"object {k}")
+            fixed = equivalent(restrict(r, ilo, ihi), seen, seed=seed)
             if fixed.status == INCONCLUSIVE:
                 return fixed
             if killed != fixed.passed:

@@ -67,11 +67,6 @@ class GroundRing:
     def neg(self, a):
         return (-a) % self.p if self.kind == "fp" else -a
 
-    def is_unit(self, a):
-        if self.kind == "z":
-            return a in (1, -1)
-        return a != 0
-
     def inv(self, a):
         if self.kind == "q":
             if a == 0:

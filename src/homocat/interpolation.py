@@ -20,10 +20,6 @@ class SmallnessViolated(Exception):
     pass
 
 
-class MissingCertificates(Exception):
-    pass
-
-
 class NotAnEigenobject(Exception):
     pass
 
@@ -682,17 +678,20 @@ def _factor_builds(maps, i, w, direction):
     return out
 
 
-def _check_ladder(maps, direction):
-    for j in range(len(maps) - 1):
-        d = maps[j + 1].scalar.n - maps[j].scalar.n
+def check_ladder(maps, direction):
+    """Raise SmallnessViolated unless consecutive scalars differ by a shift
+    that is small in the given direction."""
+    for a, b in zip(maps, maps[1:]):
+        d = b.scalar.n - a.scalar.n
         if not ScalarShift(d).is_small(direction):
             raise SmallnessViolated(
-                f"consecutive scalars {j}, {j + 1} differ by {d}")
+                f"consecutive scalar shifts {a.scalar.n} and {b.scalar.n} "
+                f"differ by {d}, which is not small ({direction})")
 
 
 def build_P(maps, i, w, ordering=None, direction=DEFAULT_DIRECTION):
     """Tensor of the truncated interpolation factors around index i."""
-    _check_ladder(maps, direction)
+    check_ladder(maps, direction)
     factors = dict(_factor_builds(maps, i, w, direction))
     idx = ordering if ordering is not None else \
         [j for j in range(len(maps)) if j != i]
@@ -719,7 +718,7 @@ def verify_P_koszul(maps, i, w, direction=DEFAULT_DIRECTION,
                     zero_partial=False):
     """Rebuild the truncated projector as a grid of cone-copy tensors with
     the signed partial operators as cross terms, and compare entrywise."""
-    _check_ladder(maps, direction)
+    check_ladder(maps, direction)
     factors = _factor_builds(maps, i, w, direction)
     if len(factors) == 1:
         j, _ = factors[0]

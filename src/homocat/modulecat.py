@@ -8,7 +8,7 @@ module over k[x]/(x^m - 1).
 """
 
 from .exactlinalg import (
-    Matrix, IntegerRingUnsupported, rref, kernel,
+    Matrix, IntegerRingUnsupported, kernel, solve,
 )
 
 
@@ -485,15 +485,17 @@ class Decomposition:
     """Ordered indecomposable summands with an explicit basis change.
 
     basis columns are grouped by block; conjugating x_action by basis gives a
-    block-diagonal matrix whose blocks realize the tags.
+    block-diagonal matrix whose blocks realize the tags.  inverse is the
+    inverse of basis.
     """
 
-    __slots__ = ("module", "tags", "basis")
+    __slots__ = ("module", "tags", "basis", "inverse")
 
-    def __init__(self, module, tags, basis):
+    def __init__(self, module, tags, basis, inverse):
         self.module = module
         self.tags = tags
         self.basis = basis
+        self.inverse = inverse
 
 
 def _nonzero_components(ring, X, n):
@@ -522,7 +524,8 @@ def decompose(module):
 
     The action matrix is first split along connected components of its
     nonzero pattern, so direct sums of small modules (as produced by tensor
-    products) avoid one large polynomial Smith computation.
+    products) avoid one large polynomial Smith computation, and the basis
+    is inverted one component at a time.
     """
     alg = module.alg
     ring = alg.ring
@@ -532,31 +535,39 @@ def decompose(module):
         raise ValueError("decompose needs the factorization of p")
     n = module.dim
     if n == 0:
-        return Decomposition(module, [], Matrix.zeros(ring, 0, 0))
+        empty = Matrix.zeros(ring, 0, 0)
+        return Decomposition(module, [], empty, empty)
     X = module.x_action
     comps = _nonzero_components(ring, X, n)
-    if len(comps) > 1:
-        pieces = []
-        for idx in comps:
-            sub = Module(alg, len(idx), X.submatrix(idx, idx), check=False)
-            for tag, cols in _cyclic_pieces(sub):
-                lifted = []
-                for c in cols:
-                    ent = [ring.zero()] * n
-                    for r, gi in enumerate(idx):
-                        ent[gi] = c[r, 0]
-                    lifted.append(Matrix(ring, n, 1, ent, _trusted=True))
-                pieces.append((tag, lifted))
-    else:
-        pieces = _cyclic_pieces(module)
+    pieces = []  # (tag, columns lifted to the whole module, component)
+    for k, idx in enumerate(comps):
+        sub = Module(alg, len(idx), X.submatrix(idx, idx), check=False)
+        for tag, cols in _cyclic_pieces(sub):
+            lifted = []
+            for c in cols:
+                ent = [ring.zero()] * n
+                for r, gi in enumerate(idx):
+                    ent[gi] = c[r, 0]
+                lifted.append(Matrix(ring, n, 1, ent, _trusted=True))
+            pieces.append((tag, lifted, k))
     pieces.sort(key=lambda p: p[0].sort_key())
     tags = [p[0] for p in pieces]
-    allcols = [c for p in pieces for c in p[1]]
-    basis = Matrix.block(ring, [allcols]) if allcols \
-        else Matrix.zeros(ring, n, 0)
+    basis = Matrix.block(ring, [[c for p in pieces for c in p[1]]])
     assert basis.rows == n and basis.cols == n
-    assert rref(basis).rank == n, "decomposition basis must be invertible"
-    return Decomposition(module, tags, basis)
+    # each component's columns are supported on its rows: invert it alone
+    owner = [p[2] for p in pieces for _ in p[1]]
+    inverse = [ring.zero()] * (n * n)
+    for k, idx in enumerate(comps):
+        pos = [j for j, o in enumerate(owner) if o == k]
+        inv = solve(basis.submatrix(idx, pos),
+                    Matrix.identity(ring, len(idx)))
+        assert len(pos) == len(idx) and inv is not None, \
+            "decomposition basis must be invertible"
+        for a, j in enumerate(pos):
+            for b, i in enumerate(idx):
+                inverse[j * n + i] = inv[a, b]
+    return Decomposition(module, tags, basis,
+                         Matrix(ring, n, n, inverse, _trusted=True))
 
 
 def _cyclic_pieces(module):

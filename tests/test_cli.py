@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import homocat
 from homocat.cli import (
@@ -196,3 +198,61 @@ def test_f2_with_odd_m_is_semisimple(capsys):
     assert code == 0
     assert by_id.pop("semisimple_collapse") == "PASS"
     assert set(by_id.values()) == {"SKIPPED"}
+
+
+def test_direction_below_is_inconclusive():
+    """The cyclic ladder is small only above: under --direction below the
+    checks that need it are INCONCLUSIVE and the report still comes out."""
+    proc = run_python("-m", "homocat.cli", "demo", "cyclic",
+                      "--direction", "below", "--depth", "4")
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2
+    assert "[FAIL" not in proc.stdout
+    assert "[INCONCLUSIVE] periodicity: consecutive scalar shifts -2 and 0 " \
+        "differ by 2, which is not small (below)" in proc.stdout
+
+
+@pytest.mark.parametrize("edge", [3, 5])
+def test_projector_form_skips_the_cut_degree(tmp_path, capsys, edge):
+    """With an odd edge the cut degree minimizes to dimension 3; only the
+    degrees strictly inside it are judged."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"demo": "cyclic", "edge": edge,
+                                "checks": ["projector_form"]}))
+    code = main(["verify", "--scenario", str(path)])
+    assert "[PASS        ] projector_form" in capsys.readouterr().out
+    assert code == 0
+
+
+def test_tightness_on_too_shallow_window_is_inconclusive(capsys):
+    code = main(["demo", "cyclic", "--depth", "1", "--edge", "1",
+                 "--format", "json"])
+    by_id = {r["id"]: r for r in json.loads(capsys.readouterr().out)["checks"]}
+    assert code == 2
+    assert "FAIL" not in {r["status"] for r in by_id.values()}
+    assert by_id["tightness"]["status"] == "INCONCLUSIVE"
+    assert "misses object" in by_id["tightness"]["detail"]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(ring_m=st.one_of(st.just(("f2", 2)),
+                        st.tuples(st.sampled_from(["q", "z"]),
+                                  st.sampled_from([2, 3]))),
+       depth=st.integers(1, 4), edge=st.none() | st.integers(1, 5),
+       direction=st.sampled_from(["above", "below"]))
+def test_cyclic_scenarios_never_fail(ring_m, depth, edge, direction):
+    """Every check of the cyclic demo is sound on small windows: a
+    window too shallow or a direction the ladder does not suit gives
+    INCONCLUSIVE, never FAIL or an exception."""
+    ring, m = ring_m
+    argv = ["demo", "cyclic", "--ring", ring, "--m", str(m),
+            "--depth", str(depth), "--direction", direction,
+            "--format", "json"]
+    if edge is not None:
+        argv += ["--edge", str(edge)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    statuses = {r["status"] for r in json.loads(out.getvalue())["checks"]}
+    assert code in (0, 2)
+    assert "FAIL" not in statuses

@@ -189,6 +189,29 @@ class TestMinimize:
                 mr = minimize(c)
                 assert homology(mr.minimal) == homology(c)
 
+    def test_retract_flag_changes_only_the_retract(self):
+        pool = []
+        for ring in (F2, Q):
+            _, A, one, F, alpha, beta = worked_example(ring)
+            pool += [cone(alpha), cone(beta), tensor(F, F),
+                     tensor(cone(alpha), cone(beta))]
+        alg = cyclic_algebra(Z, 1)
+        one = trivial_module(alg)
+        two = direct_sum(atom(one), atom(one))
+        X = Complex(alg, 0, list(two.terms) * 2, [M(Z, [[1, 2], [2, 4]])])
+        pool += [X, tensor(X, X), cone(identity_map(X)),
+                 cone(identity_map(X).scale(2))]
+        for c in pool:
+            full = minimize(c)
+            bare = minimize(c, retract=False)
+            assert bare.minimal == full.minimal
+            assert bare.blocks == full.blocks
+            assert bare.incl is bare.proj is bare.h is None
+            assert maps_equal(full.proj.compose(full.incl),
+                              identity_map(full.minimal))
+            assert maps_equal(bracket(full.h),
+                              identity_map(c) - full.incl.compose(full.proj))
+
     def test_minimize_over_z_rank_one(self):
         alg = cyclic_algebra(Z, 1)
         one = trivial_module(alg)

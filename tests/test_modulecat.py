@@ -151,8 +151,9 @@ class TestDecompose:
                 g = _random_invertible(ring, mod.dim, rng)
                 conj = Module(alg, mod.dim,
                               _inv(g) * mod.x_action * g)
-                got = sorted(t.sort_key() for t in decompose(conj).tags)
-                assert got == expected
+                dec = decompose(conj)
+                assert sorted(t.sort_key() for t in dec.tags) == expected
+                _check_basis(dec)
 
 
 def _random_invertible(ring, n, rng):
@@ -173,9 +174,10 @@ def _inv(m):
 def _check_basis(dec):
     ring = dec.module.alg.ring
     b = dec.basis
-    assert rref(b).rank == b.rows
+    eye = Matrix.identity(ring, b.rows)
+    assert dec.inverse * b == eye and b * dec.inverse == eye
     # conjugated x-action is block-diagonal with the tag dimensions
-    xb = _inv(b) * dec.module.x_action * b
+    xb = dec.inverse * dec.module.x_action * b
     offs = []
     o = 0
     for t in dec.tags:
