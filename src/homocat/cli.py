@@ -9,7 +9,8 @@ import sys
 
 from . import __version__
 from .exactlinalg import PrimeField, Rationals, Integers, Matrix
-from .modulecat import cyclic_algebra, regular_module, trivial_module
+from .modulecat import (cyclic_algebra, regular_module, trivial_module,
+                        decompose, peval_scalar)
 from .complexes import (
     Complex, ChainMap, atom, shift, tensor, cone, minimize,
     is_contractible, identity_map, restrict,
@@ -43,6 +44,7 @@ RINGS = {"f2": PrimeField(2), "q": Rationals(), "z": Integers()}
 
 DEFAULTS = {"ring": "f2", "m": 2, "depth": 12, "edge": None,
             "seed": 0xC0FFEE, "format": "text", "direction": "above"}
+CYCLIC_FIELDS = ("ring", "m", "depth", "edge", "direction")
 
 
 class SchemaViolation(Exception):
@@ -133,9 +135,13 @@ def _cyclic_checks(ring_name, m, depth, edge, seed, direction):
         if lo >= hi:
             return INCONCLUSIVE, EMPTY_WINDOW
         r = minimize(restrict(Pb.complex, lo, hi)).minimal
+        # a stable degree is the projective cover of the trivial module:
+        # the summand of A on which x - 1 is nilpotent
+        cover = next(t.dim for t in decompose(A).tags
+                     if not peval_scalar(ring, t.q, ring.one()))
         # judge only the degrees strictly inside the cut edge
         bad = [d for d in range(lo + 1, hi + 1)
-               if r.term(d).dim != (1 if d == hi else m)]
+               if r.term(d).dim != (1 if d == hi else cover)]
         detail = ("one regular module per stable degree with the trivial "
                   "module on top")
         if bad:
@@ -174,7 +180,8 @@ def _cyclic_checks(ring_name, m, depth, edge, seed, direction):
             if lo >= hi:
                 return INCONCLUSIVE, EMPTY_WINDOW
             r = minimize(restrict(cone(u), lo, hi)).minimal
-            expect = shift(cone(e.map), sh)
+            # the eigencone, cut at the same degrees and minimized the same way
+            expect = minimize(restrict(shift(cone(e.map), sh), lo, hi)).minimal
             got = {d: r.term(d).dim for d in r.degrees()
                    if r.term(d).dim and lo < d <= hi}
             want = {d: expect.term(d).dim for d in expect.degrees()
@@ -427,6 +434,13 @@ def _positive_int(v):
 
 def run_scenario(scenario, restrict_to=None):
     demo = scenario.get("demo")
+    if demo not in ("cyclic", "integers", "mixed"):
+        raise SchemaViolation(f"unknown demo {demo!r}")
+    unused = sorted(set(scenario) - {"demo", "seed", "checks", "format"}
+                    - set(CYCLIC_FIELDS if demo == "cyclic" else ()))
+    if unused:
+        raise SchemaViolation(
+            f"field {unused[0]!r} is not used by the {demo} demo")
     ring = scenario.get("ring", DEFAULTS["ring"])
     if ring not in RINGS:
         raise SchemaViolation(f"unknown ring {ring!r}")
@@ -446,10 +460,8 @@ def run_scenario(scenario, restrict_to=None):
                                            direction)
     elif demo == "integers":
         order, applicable = _integers_checks(seed)
-    elif demo == "mixed":
-        order, applicable = _mixed_checks()
     else:
-        raise SchemaViolation(f"unknown demo {demo!r}")
+        order, applicable = _mixed_checks()
     selected = scenario.get("checks")
     if restrict_to is not None:
         pool = [cid for cid, _ in order if cid in restrict_to]
@@ -480,16 +492,15 @@ def main(argv=None):
 
     demo = sub.add_parser("demo", help="run a builtin demo scenario")
     demo.add_argument("which", choices=["cyclic", "integers", "mixed"])
-    demo.add_argument("--ring", choices=["f2", "q", "z"],
-                      default=DEFAULTS["ring"])
-    demo.add_argument("--m", type=int, default=DEFAULTS["m"])
-    demo.add_argument("--depth", type=int, default=DEFAULTS["depth"])
-    demo.add_argument("--edge", type=int, default=None)
+    # the cyclic-only flags default to None, so another demo can reject them
+    demo.add_argument("--ring", choices=["f2", "q", "z"])
+    demo.add_argument("--m", type=int)
+    demo.add_argument("--depth", type=int)
+    demo.add_argument("--edge", type=int)
     demo.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     demo.add_argument("--format", choices=["text", "json"],
                       default=DEFAULTS["format"])
-    demo.add_argument("--direction", choices=["above", "below"],
-                      default=DEFAULTS["direction"])
+    demo.add_argument("--direction", choices=["above", "below"])
 
     for name in ("verify", "obstructions"):
         p = sub.add_parser(name)
@@ -500,9 +511,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "demo":
-            scenario = {"demo": args.which, "ring": args.ring, "m": args.m,
-                        "depth": args.depth, "edge": args.edge,
-                        "seed": args.seed, "direction": args.direction}
+            scenario = {"demo": args.which, "seed": args.seed}
+            for name in CYCLIC_FIELDS:
+                value = getattr(args, name)
+                if value is not None or args.which == "cyclic":
+                    scenario[name] = DEFAULTS[name] if value is None else value
             report = run_scenario(scenario)
         else:
             scenario = _load_scenario(args.scenario)

@@ -9,7 +9,7 @@ over the ground ring (Diophantine-exact over Z).
 
 from .exactlinalg import (
     Matrix, IntegerRingUnsupported, rref, solve, kernel, snf,
-    matrix_to_json, matrix_from_json,
+    matrix_to_json, matrix_from_json, _stack,
 )
 from .modulecat import (
     AlgebraPresentation, Module, ModuleMap, Decomposition,
@@ -144,21 +144,10 @@ def direct_sum(c1, c2):
         terms.append(direct_sum_modules(c1.term(d), c2.term(d)))
     ring = c1.alg.ring
     for d in range(lo, hi):
-        diffs.append(_block2(ring, c1.diff(d), None, None, c2.diff(d),
-                             (c1.term(d + 1).dim, c2.term(d + 1).dim),
-                             (c1.term(d).dim, c2.term(d).dim)))
+        diffs.append(_stack(ring, [[c1.diff(d), None], [None, c2.diff(d)]],
+                            (c1.term(d + 1).dim, c2.term(d + 1).dim),
+                            (c1.term(d).dim, c2.term(d).dim)))
     return Complex(c1.alg, lo, terms, diffs, check=False)
-
-
-def _block2(ring, a, b, c, d, rdims, cdims):
-    """2x2 block matrix with explicit row/col dims (blocks may be None)."""
-    r1, r2 = rdims
-    c1, c2 = cdims
-    def blk(m, r, c_):
-        return m if m is not None else Matrix.zeros(ring, r, c_)
-    top = blk(a, r1, c1).hstack(blk(b, r1, c2))
-    bot = blk(c, r2, c1).hstack(blk(d, r2, c2))
-    return top.vstack(bot)
 
 
 # -- tensor ------------------------------------------------------------------
@@ -197,8 +186,6 @@ def tensor(c1, c2):
         src = tensor_layout(c1, c2, n)
         tgt = tensor_layout(c1, c2, n + 1)
         tpos = {(i, j): (off, dim) for (i, j, off, dim) in tgt}
-        rows = terms[n + 1 - lo].dim
-        cols = terms[n - lo].dim
         dmat = [[None] * len(src) for _ in range(len(tgt))]
         for sidx, (i, j, soff, sdim) in enumerate(src):
             # d1 (x) id : block (i, j) -> (i + 1, j)
@@ -213,19 +200,9 @@ def tensor(c1, c2):
                     blkm = -blkm
                 tidx = [k for k, t in enumerate(tgt) if (t[0], t[1]) == (i, j + 1)][0]
                 dmat[tidx][sidx] = blkm
-        diffs.append(_assemble(ring, dmat,
-                               [t[3] for t in tgt], [s[3] for s in src],
-                               rows, cols))
+        diffs.append(_stack(ring, dmat, [t[3] for t in tgt],
+                            [s[3] for s in src]))
     return Complex(alg, lo, terms, diffs, check=False)
-
-
-def _assemble(ring, grid, rdims, cdims, rows, cols):
-    if not rdims or not cdims:
-        return Matrix.zeros(ring, rows, cols)
-    full = [[grid[i][j] if grid[i][j] is not None
-             else Matrix.zeros(ring, rdims[i], cdims[j])
-             for j in range(len(cdims))] for i in range(len(rdims))]
-    return Matrix.block(ring, full)
 
 
 # -- chain maps / homotopies ---------------------------------------------------
@@ -360,9 +337,8 @@ def tensor_maps(f, g):
                 grid[tpos[key]][sidx] = blk
                 nz = True
         if nz:
-            comps[n] = _assemble(ring, grid, [t[3] for t in tl],
-                                 [s[3] for s in sl],
-                                 tgt.term(n + k).dim, src.term(n).dim)
+            comps[n] = _stack(ring, grid, [t[3] for t in tl],
+                              [s[3] for s in sl])
     return ChainMap(src, tgt, k, comps, check=False)
 
 
@@ -381,17 +357,13 @@ def swap(c1, c2):
         grid = [[None] * len(sl) for _ in range(len(tl))]
         for sidx, (i, j, _, _) in enumerate(sl):
             di, dj = c1.term(i).dim, c2.term(j).dim
-            sgn = -1 if (i % 2 and j % 2) else 1
-            ent = [ring.zero()] * (di * dj * di * dj)
-            for p in range(di):
-                for q in range(dj):
-                    ent[(q * di + p) * (di * dj) + (p * dj + q)] = \
-                        ring.coerce(sgn)
-            grid[tpos[(j, i)]][sidx] = Matrix(ring, dj * di, di * dj, ent,
-                                              _trusted=True)
-        comps[n] = _assemble(ring, grid, [t[3] for t in tl],
-                             [s[3] for s in sl],
-                             tgt.term(n).dim, src.term(n).dim)
+            sgn = ring.coerce(-1 if (i % 2 and j % 2) else 1)
+            # row q * di + p of the target is column p * dj + q of the source
+            grid[tpos[(j, i)]][sidx] = Matrix._of(
+                ring, dj * di, di * dj,
+                ({r % di * dj + r // di: sgn} for r in range(di * dj)))
+        comps[n] = _stack(ring, grid, [t[3] for t in tl],
+                          [s[3] for s in sl])
     return ChainMap(src, tgt, 0, comps)
 
 
@@ -412,8 +384,8 @@ def cone(f):
              for d in range(lo, hi + 1)]
     diffs = []
     for d in range(lo, hi):
-        diffs.append(_block2(
-            ring, -X.diff(d + 1), None, f.comp(d + 1), Y.diff(d),
+        diffs.append(_stack(
+            ring, [[-X.diff(d + 1), None], [f.comp(d + 1), Y.diff(d)]],
             (X.term(d + 2).dim, Y.term(d + 1).dim),
             (X.term(d + 1).dim, Y.term(d).dim)))
     return Complex(alg, lo, terms, diffs, check=False)
@@ -526,24 +498,29 @@ class _Unknowns:
         matrix, equals rhs (None for zero); fn must be linear.  Empty
         equations are dropped.
         """
-        ring = self.ring
-        ncols = self.ncols
-        zero = ring.zero()
-        equations = [e for e in equations if e[0] * e[1]]
-        nrows = sum(rows * cols for rows, cols, _, _ in equations)
-        a = [zero] * (nrows * ncols)
-        b = []
+        p = self.ring.p
+        a, b = [], []
         for rows, cols, terms, rhs in equations:
-            nent = rows * cols
-            base = len(b) * ncols
+            eqs = [{} for _ in range(rows * cols)]
             for name, d, fn in terms:
                 off, basis = self.groups[name][3].get(d, (0, ()))
-                for bi, bm in enumerate(basis):
-                    col = slice(base + off + bi, base + nent * ncols, ncols)
-                    a[col] = map(ring.add, a[col], fn(bm).entries)
-            b.extend([zero] * nent if rhs is None else rhs.entries)
-        return (Matrix(ring, nrows, ncols, a, _trusted=True),
-                Matrix(ring, nrows, 1, b, _trusted=True))
+                for col, bm in enumerate(basis, off):
+                    for r, row in enumerate(fn(bm).data):
+                        for c, v in row.items():
+                            eq = eqs[r * cols + c]
+                            w = eq.get(col, 0) + v
+                            if p:
+                                w %= p
+                            if w:
+                                eq[col] = w
+                            else:
+                                del eq[col]
+            a.extend(eqs)
+            b.extend({0: row[c]} if c in row else {}
+                     for row in (rhs.data if rhs is not None else ({},) * rows)
+                     for c in range(cols))
+        return (Matrix._of(self.ring, len(a), self.ncols, a),
+                Matrix._of(self.ring, len(b), 1, b))
 
     def comps(self, name, x, j=0):
         """Components {degree: Matrix} given by column j of x."""
@@ -764,21 +741,6 @@ def _spans(blocks):
         off += dim
 
 
-def _first_invertible_pair(dd, src, tgt):
-    """(si, ti, s, t, alpha^-1) for the first block pair in lexicographic
-    order whose block alpha = dd[t, s] is invertible; s and t are the column
-    and row ranges.  Only pairs with equal tags are tried: an invertible
-    intertwiner joins isomorphic summands."""
-    for si, (stag, s) in enumerate(_spans(src)):
-        for ti, (ttag, t) in enumerate(_spans(tgt)):
-            if stag == ttag:
-                ainv = solve(dd.submatrix(t, s),
-                             Matrix.identity(dd.ring, len(s)))
-                if ainv is not None:
-                    return si, ti, s, t, ainv
-    return None
-
-
 def _rows(m, idx):
     return m.submatrix(idx, range(m.cols))
 
@@ -792,16 +754,21 @@ def minimize(c, retract=True):
     deformation retract (incl, proj, h) onto the minimal complex.
 
     One forward sweep over the degrees of the split complex: in degree d the
-    first invertible block pair (lexicographic) is cancelled, d_d becomes
-    its Schur complement, and the search in d starts again.  Cancelling in
-    degree d only deletes rows of d_{d-1}, so a finished degree never gains
-    an invertible pair.  With retract=False the retract data is not
-    accumulated (incl, proj and h come back as None); it is the larger part
-    of the cost on large complexes, so callers that only need the minimal
-    model should opt out.
+    first invertible block pair (lexicographic; only nonzero blocks between
+    equal tags, since an invertible intertwiner joins isomorphic summands)
+    is cancelled, d_d becomes its Schur complement, and the search in d
+    starts again.  Within a degree rows and columns keep their indices, so a
+    cancellation rewrites only the rows with an entry in the cancelled
+    columns; the cancelled rows and columns are dropped once the degree is
+    done.  Cancelling in degree d only deletes rows of d_{d-1}, so a
+    finished degree never gains an invertible pair.  With retract=False the
+    retract data is not accumulated (incl, proj and h come back as None);
+    it is the larger part of the cost on large complexes, so callers that
+    only need the minimal model should opt out.
     """
     sp = split_complex(c)
     lo = c.min_deg
+    ring = c.alg.ring
     xs = [t.x_action for t in sp.conj.terms]
     diffs = list(sp.conj.diffs)
     blocks = [list(sp.blocks[d]) for d in c.degrees()]
@@ -811,35 +778,72 @@ def minimize(c, retract=True):
         h = {}
     del sp  # frees each split matrix as soon as the sweep replaces it
     for i in range(len(diffs)):
-        dd = diffs[i]
-        while True:
-            pair = _first_invertible_pair(dd, blocks[i], blocks[i + 1])
-            if pair is None:
-                break
-            si, ti, s, t, ainv = pair
-            keep_s = [j for j in range(dd.cols) if j not in s]
-            keep_t = [j for j in range(dd.rows) if j not in t]
-            beta = dd.submatrix(t, keep_s)
-            gamma_ainv = dd.submatrix(keep_t, s) * ainv
-            dd = dd.submatrix(keep_t, keep_s) - gamma_ainv * beta
-            if i:
-                diffs[i - 1] = _rows(diffs[i - 1], keep_s)
-            if i + 1 < len(diffs):
-                diffs[i + 1] = _cols(diffs[i + 1], keep_t)
-            xs[i] = xs[i].submatrix(keep_s, keep_s)
-            xs[i + 1] = xs[i + 1].submatrix(keep_t, keep_t)
-            del blocks[i][si], blocks[i + 1][ti]
+        nrows, ncols = diffs[i].rows, diffs[i].cols
+        rows = list(diffs[i].data)  # replaced, never changed in place
+        at = [set(col) for col in diffs[i].transpose().data]  # col -> rows
+        src, tgt = list(_spans(blocks[i])), list(_spans(blocks[i + 1]))
+        owner = [ti for ti, (_, t) in enumerate(tgt) for _ in t]
+        alive = [[True] * len(src), [True] * len(tgt)]
+
+        def block(rs, s):  # rows rs, columns s counted from s.start
+            return Matrix._of(ring, len(rs), len(s), (
+                {j - s.start: v for j, v in rows[r].items() if j in s}
+                for r in rs))
+
+        def without(rs, s):  # rows rs, every column but s
+            return Matrix._of(ring, len(rs), ncols, (
+                {j: v for j, v in rows[r].items() if j not in s}
+                for r in rs))
+
+        def first_invertible_pair():
+            for si, (stag, s) in enumerate(src):
+                if alive[0][si]:
+                    for ti in sorted({owner[r] for j in s for r in at[j]}):
+                        if tgt[ti][0] == stag:
+                            ainv = solve(block(tgt[ti][1], s),
+                                         Matrix.identity(ring, len(s)))
+                            if ainv is not None:
+                                return si, ti, ainv
+            return None
+
+        while (pair := first_invertible_pair()) is not None:
+            si, ti, ainv = pair
+            s, t = src[si][1], tgt[ti][1]
+            alive[0][si] = alive[1][ti] = False
+            gam = sorted({r for j in s for r in at[j]}.difference(t))
+            beta = without(t, s)
+            gamma_ainv = block(gam, s) * ainv
+            schur = without(gam, s) - gamma_ainv * beta
+            for r, new in [(r, {}) for r in t] + list(zip(gam, schur.data)):
+                for j in rows[r]:
+                    at[j].discard(r)
+                rows[r] = new
+                for j in new:
+                    at[j].add(r)
             if retract:
                 incl_s = _cols(incl[i], s)
                 proj_t = _rows(proj[i + 1], t)
                 step = incl_s * ainv * proj_t
                 k = lo + i + 1
                 h[k] = h[k] + step if k in h else step
-                incl[i] = _cols(incl[i], keep_s) - incl_s * (ainv * beta)
-                incl[i + 1] = _cols(incl[i + 1], keep_t)
-                proj[i] = _rows(proj[i], keep_s)
-                proj[i + 1] = _rows(proj[i + 1], keep_t) - gamma_ainv * proj_t
-        diffs[i] = dd
+                incl[i] = incl[i] - incl_s * (ainv * beta)
+                ga = dict(zip(gam, gamma_ainv.data))
+                proj[i + 1] = proj[i + 1] - Matrix._of(ring, nrows, len(s), (
+                    ga.get(r, {}) for r in range(nrows))) * proj_t
+        keep = [[j for (_, s), a in zip(spans, alv) if a for j in s]
+                for spans, alv in zip((src, tgt), alive)]
+        diffs[i] = Matrix._of(ring, nrows, ncols, rows).submatrix(
+            keep[1], keep[0])
+        if i:
+            diffs[i - 1] = _rows(diffs[i - 1], keep[0])
+        if i + 1 < len(diffs):
+            diffs[i + 1] = _cols(diffs[i + 1], keep[1])
+        for j, kp, alv in zip((i, i + 1), keep, alive):
+            xs[j] = xs[j].submatrix(kp, kp)
+            blocks[j] = [b for b, a in zip(blocks[j], alv) if a]
+            if retract:
+                incl[j] = _cols(incl[j], kp)
+                proj[j] = _rows(proj[j], kp)
 
     terms = [Module(c.alg, x.rows, x, check=False) for x in xs]
     minimal = Complex(c.alg, lo, terms, diffs)
@@ -977,13 +981,11 @@ def _coords_in_basis(ring, basis_mats, target):
     if not basis_mats:
         assert target.is_zero()
         return []
-    cols = [Matrix(ring, target.rows * target.cols, 1, list(b.entries),
-                   _trusted=True) for b in basis_mats]
-    A = cols[0]
-    for ccc in cols[1:]:
-        A = A.hstack(ccc)
-    b = Matrix(ring, target.rows * target.cols, 1, list(target.entries),
-               _trusted=True)
+    # columns are the row-major vectorizations of the basis and the target
+    A, b = (Matrix._of(ring, len(ms), target.rows * target.cols, (
+        {r * target.cols + j: v for r, row in enumerate(m.data)
+         for j, v in row.items()} for m in ms)).transpose()
+        for ms in (basis_mats, [target]))
     got = solve(A, b)
     assert got is not None, "composite must lie in the intertwiner span"
     return [got[i, 0] for i in range(A.cols)]

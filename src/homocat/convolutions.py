@@ -2,12 +2,12 @@
 simplification by homological perturbation, zigzag assembly, and the section
 combinatorics used by relative diagonalization."""
 
-from .exactlinalg import Matrix
+from .exactlinalg import Matrix, _stack
 from .modulecat import Module, direct_sum_modules, zero_module
 from .complexes import (
     Complex, ChainMap, Homotopy, Verdict, PASS, FAIL, INCONCLUSIVE,
     zero_complex, shift, identity_map, minimize, maps_equal,
-    _assemble, bracket,
+    bracket,
 )
 
 
@@ -186,8 +186,8 @@ def tot(t, order=None, check=True):
         terms.append(m)
     diffs = []
     for d in range(lo, hi):
-        slay, cols = _tot_layout(t, order, d)
-        tlay, rows = _tot_layout(t, order, d + 1)
+        slay, _ = _tot_layout(t, order, d)
+        tlay, _ = _tot_layout(t, order, d + 1)
         grid = [[None] * len(slay) for _ in range(len(tlay))]
         for si, (j, _, sdim) in enumerate(slay):
             if sdim == 0:
@@ -199,8 +199,8 @@ def tot(t, order=None, check=True):
                     b = _dblock(t, i, j, d)
                     if not b.is_zero():
                         grid[ti][si] = b
-        diffs.append(_assemble(ring, grid, [x[2] for x in tlay],
-                               [x[2] for x in slay], rows, cols))
+        diffs.append(_stack(ring, grid, [x[2] for x in tlay],
+                            [x[2] for x in slay]))
     return Complex(alg, lo, terms, diffs)
 
 
@@ -287,8 +287,8 @@ def reassociate(t, blocks):
                                 grid[ti][si] = b
                                 nz = True
                 if nz:
-                    comps[d] = _assemble(ring, grid, [x[2] for x in tlay],
-                                         [x[2] for x in slay], rows, cols)
+                    comps[d] = _stack(ring, grid, [x[2] for x in tlay],
+                                      [x[2] for x in slay])
             if comps:
                 cross[(bi, bj)] = ChainMap(layers[bj], layers[bi], 1, comps,
                                            check=False)
@@ -375,8 +375,8 @@ def simplify_layers(t, retracts=None, order=None):
                             grid[ti][si] = b
                             nz = True
             if nz:
-                comps[d] = _assemble(ring, grid, [x[2] for x in tlay],
-                                     [x[2] for x in slay], rows, cols)
+                comps[d] = _stack(ring, grid, [x[2] for x in tlay],
+                                  [x[2] for x in slay])
         return comps
 
     i0 = ChainMap(M0, T, 0, blockdiag(bare, t, lambda l: retracts[l].incl, 0),
@@ -388,8 +388,8 @@ def simplify_layers(t, retracts=None, order=None):
     # the perturbation: cross part of the twisted differential
     delta_comps = {}
     for d in range(T.min_deg, T.max_deg):
-        slay, cols = _tot_layout(t, order, d)
-        tlay, rows = _tot_layout(t, order, d + 1)
+        slay, _ = _tot_layout(t, order, d)
+        tlay, _ = _tot_layout(t, order, d + 1)
         grid = [[None] * len(slay) for _ in range(len(tlay))]
         nz = False
         for si, (j, _, sd) in enumerate(slay):
@@ -400,8 +400,8 @@ def simplify_layers(t, retracts=None, order=None):
                         grid[ti][si] = b
                         nz = True
         if nz:
-            delta_comps[d] = _assemble(ring, grid, [x[2] for x in tlay],
-                                       [x[2] for x in slay], rows, cols)
+            delta_comps[d] = _stack(ring, grid, [x[2] for x in tlay],
+                                    [x[2] for x in slay])
     delta = ChainMap(T, T, 1, delta_comps, check=False)
 
     # A = delta (1 + h0 delta)^{-1}, a finite geometric series by nilpotency;

@@ -1,9 +1,10 @@
 """Exact linear algebra over Q, F_p and Z.
 
 Elements are Fraction (Q), int in [0, p) (F_p) or int (Z); no floating point
-anywhere.  Matrices are immutable, dense, row-major.  ``rref``, ``kernel``
-and ``solve`` share one sparse Gauss-Jordan elimination that pivots only on
-units; over Z the Smith normal form is taken only of the rows it leaves.
+anywhere.  Matrices are immutable and sparse: one ``{col: value}`` dict of
+nonzeros per row.  ``rref``, ``kernel`` and ``solve`` share one Gauss-Jordan
+elimination on those rows that pivots only on units; over Z the Smith normal
+form is taken only of the rows it leaves.
 """
 
 from fractions import Fraction
@@ -139,32 +140,43 @@ def _is_prime(n):
 
 
 class Matrix:
-    """Immutable dense matrix over a GroundRing; entries row-major."""
+    """Immutable sparse matrix over a GroundRing.
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    ``data`` is a tuple with one ``{col: value}`` dict per row that holds the
+    row's nonzero entries only; row dicts are never mutated, so matrices may
+    share them.  ``entries`` and ``row(i)`` are dense views built on demand.
+    """
+
+    __slots__ = ("ring", "rows", "cols", "data")
 
     def __init__(self, ring, rows, cols, entries, _trusted=False):
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ValueError("bad matrix shape")
+        if not _trusted:
+            entries = [ring.coerce(x) for x in entries]
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(entries) if _trusted else tuple(
-            ring.coerce(x) for x in entries)
+        self.data = tuple(
+            {j: v for j, v in enumerate(entries[i * cols:(i + 1) * cols]) if v}
+            for i in range(rows))
+
+    @staticmethod
+    def _of(ring, rows, cols, data):
+        """The matrix whose rows are the nonzero-only dicts ``data``."""
+        m = object.__new__(Matrix)
+        m.ring, m.rows, m.cols, m.data = ring, rows, cols, tuple(data)
+        return m
 
     # -- constructors --------------------------------------------------
     @staticmethod
     def zeros(ring, rows, cols):
-        z = ring.zero()
-        return Matrix(ring, rows, cols, [z] * (rows * cols), _trusted=True)
+        return Matrix._of(ring, rows, cols, ({} for _ in range(rows)))
 
     @staticmethod
     def identity(ring, n):
-        z, o = ring.zero(), ring.one()
-        e = [z] * (n * n)
-        for i in range(n):
-            e[i * n + i] = o
-        return Matrix(ring, n, n, e, _trusted=True)
+        o = ring.one()
+        return Matrix._of(ring, n, n, ({i: o} for i in range(n)))
 
     @staticmethod
     def from_rows(ring, rowlists):
@@ -180,13 +192,19 @@ class Matrix:
     # -- access ---------------------------------------------------------
     def __getitem__(self, rc):
         i, j = rc
-        return self.entries[i * self.cols + j]
+        return self.data[i].get(j, self.ring.zero())
 
     def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        r, z = self.data[i], self.ring.zero()
+        return tuple(r.get(j, z) for j in range(self.cols))
+
+    @property
+    def entries(self):
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def col(self, j):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        z = self.ring.zero()
+        return tuple(r.get(j, z) for r in self.data)
 
     def tolists(self):
         return [list(self.row(i)) for i in range(self.rows)]
@@ -196,78 +214,82 @@ class Matrix:
         if self.ring != other.ring:
             raise ValueError("ring mismatch")
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other, row by row."""
         self._same(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        add = self.ring.add
-        return Matrix(self.ring, self.rows, self.cols,
-                      [add(a, b) for a, b in zip(self.entries, other.entries)],
-                      _trusted=True)
+        p = self.ring.p
+        out = []
+        for a, b in zip(self.data, other.data):
+            if not b:
+                out.append(a)
+                continue
+            r = dict(a)
+            for j, v in b.items():
+                w = r.get(j, 0) + sign * v
+                if p:
+                    w %= p
+                if w:
+                    r[j] = w
+                else:
+                    del r[j]
+            out.append(r)
+        return Matrix._of(self.ring, self.rows, self.cols, out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._same(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        sub = self.ring.sub
-        return Matrix(self.ring, self.rows, self.cols,
-                      [sub(a, b) for a, b in zip(self.entries, other.entries)],
-                      _trusted=True)
+        return self._combine(other, -1)
 
     def __neg__(self):
         neg = self.ring.neg
-        return Matrix(self.ring, self.rows, self.cols,
-                      [neg(a) for a in self.entries], _trusted=True)
+        return Matrix._of(self.ring, self.rows, self.cols,
+                          ({j: neg(v) for j, v in r.items()}
+                           for r in self.data))
 
     def scale(self, c):
         c = self.ring.coerce(c)
+        if not c:
+            return Matrix.zeros(self.ring, self.rows, self.cols)
         mul = self.ring.mul
-        return Matrix(self.ring, self.rows, self.cols,
-                      [mul(c, a) for a in self.entries], _trusted=True)
+        return Matrix._of(self.ring, self.rows, self.cols,
+                          ({j: mul(c, v) for j, v in r.items()}
+                           for r in self.data))
 
     def __mul__(self, other):
         self._same(other)
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
-        ring = self.ring
-        z = ring.zero()
-        out = [z] * (self.rows * other.cols)
-        oc = other.cols
-        for i in range(self.rows):
-            ro = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[ro + k]
-                if a == 0:
-                    continue
-                bo = k * oc
-                io = i * oc
-                if ring.kind == "fp":
-                    p = ring.p
-                    for j in range(oc):
-                        out[io + j] = (out[io + j] + a * other.entries[bo + j]) % p
-                else:
-                    for j in range(oc):
-                        out[io + j] = out[io + j] + a * other.entries[bo + j]
-        return Matrix(ring, self.rows, other.cols, out, _trusted=True)
+        p = self.ring.p
+        odata = other.data
+        out = []
+        for row in self.data:
+            acc = {}
+            for k, a in row.items():
+                for j, b in odata[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: w % p for j, w in acc.items() if w % p} if p
+                       else {j: w for j, w in acc.items() if w})
+        return Matrix._of(self.ring, self.rows, other.cols, out)
 
     def transpose(self):
-        e = [self.entries[i * self.cols + j]
-             for j in range(self.cols) for i in range(self.rows)]
-        return Matrix(self.ring, self.cols, self.rows, e, _trusted=True)
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.data):
+            for j, v in r.items():
+                out[j][i] = v
+        return Matrix._of(self.ring, self.cols, self.rows, out)
 
     def kron(self, other):
         self._same(other)
         mul = self.ring.mul
-        R, C = self.rows * other.rows, self.cols * other.cols
-        out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                for j in range(self.cols):
-                    a = self.entries[i * self.cols + j]
-                    base = k * other.cols
-                    out.extend(mul(a, other.entries[base + l])
-                               for l in range(other.cols))
-        return Matrix(self.ring, R, C, out, _trusted=True)
+        oc = other.cols
+        return Matrix._of(
+            self.ring, self.rows * other.rows, self.cols * oc,
+            ({j * oc + l: mul(a, b)
+              for j, a in ra.items() for l, b in rb.items()}
+             for ra in self.data for rb in other.data))
 
     @staticmethod
     def block(ring, grid):
@@ -276,41 +298,16 @@ class Matrix:
         Row heights / column widths are inferred; every row/column of the grid
         must contain at least one matrix.
         """
-        nbr = len(grid)
-        nbc = len(grid[0]) if nbr else 0
-        heights = [None] * nbr
-        widths = [None] * nbc
-        for i in range(nbr):
-            for j in range(nbc):
-                m = grid[i][j]
-                if m is None:
-                    continue
-                if heights[i] is None:
-                    heights[i] = m.rows
-                elif heights[i] != m.rows:
-                    raise ValueError("inconsistent block heights")
-                if widths[j] is None:
-                    widths[j] = m.cols
-                elif widths[j] != m.cols:
-                    raise ValueError("inconsistent block widths")
-        if any(h is None for h in heights) or any(w is None for w in widths):
-            raise ValueError("grid row/column with no matrix")
-        R, C = sum(heights), sum(widths)
-        z = ring.zero()
-        out = [z] * (R * C)
-        r0 = 0
-        for i in range(nbr):
-            c0 = 0
-            for j in range(nbc):
-                m = grid[i][j]
-                if m is not None:
-                    for r in range(m.rows):
-                        base = (r0 + r) * C + c0
-                        row = m.row(r)
-                        out[base:base + m.cols] = row
-                c0 += widths[j]
-            r0 += heights[i]
-        return Matrix(ring, R, C, out, _trusted=True)
+        heights = [{m.rows for m in row if m is not None} for row in grid]
+        widths = [{m.cols for m in col if m is not None}
+                  for col in zip(*grid)] if grid else []
+        for sizes, what in ((heights, "heights"), (widths, "widths")):
+            if any(len(x) > 1 for x in sizes):
+                raise ValueError(f"inconsistent block {what}")
+            if any(not x for x in sizes):
+                raise ValueError("grid row/column with no matrix")
+        heights, widths = ([x.pop() for x in xs] for xs in (heights, widths))
+        return _stack(ring, grid, heights, widths)
 
     def hstack(self, other):
         return Matrix.block(self.ring, [[self, other]])
@@ -319,31 +316,52 @@ class Matrix:
         return Matrix.block(self.ring, [[self], [other]])
 
     def submatrix(self, row_idx, col_idx):
-        e = [self.entries[i * self.cols + j] for i in row_idx for j in col_idx]
-        return Matrix(self.ring, len(row_idx), len(col_idx), e, _trusted=True)
+        data = self.data
+        if col_idx == range(self.cols):
+            return Matrix._of(self.ring, len(row_idx), self.cols,
+                              (data[i] for i in row_idx))
+        pos = {c: t for t, c in enumerate(col_idx)}
+        return Matrix._of(self.ring, len(row_idx), len(col_idx),
+                          ({pos[j]: v for j, v in data[i].items() if j in pos}
+                           for i in row_idx))
 
     # -- predicates ------------------------------------------------------
     def is_zero(self):
-        z = self.ring.zero()
-        return all(x == z for x in self.entries)
+        return not any(self.data)
 
     def is_identity(self):
-        if self.rows != self.cols:
-            return False
-        return self == Matrix.identity(self.ring, self.rows)
+        return self.rows == self.cols and all(
+            r == {i: 1} for i, r in enumerate(self.data))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.ring == other.ring
                 and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and self.data == other.data)
 
     def __hash__(self):
-        return hash((self.ring, self.rows, self.cols, self.entries))
+        return hash((self.ring, self.rows, self.cols,
+                     tuple(frozenset(r.items()) for r in self.data)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(i))
                          for i in range(self.rows))
         return f"Matrix({self.ring!r} {self.rows}x{self.cols} [{body}])"
+
+
+def _stack(ring, grid, heights, widths):
+    """The block matrix with blocks grid[i][j] (None for a zero block) of
+    the given row heights and column widths."""
+    offsets = [sum(widths[:j]) for j in range(len(widths))]
+    out = []
+    for blocks, height in zip(grid, heights):
+        placed = [(c0, m.data) for c0, m in zip(offsets, blocks)
+                  if m is not None]
+        for r in range(height):
+            row = {}
+            for c0, data in placed:
+                row.update((c0 + j, v) for j, v in data[r].items())
+            out.append(row)
+    return Matrix._of(ring, sum(heights), sum(widths), out)
 
 
 # -- serialization -----------------------------------------------------------
@@ -370,21 +388,6 @@ class RrefResult:
         self.reduced = reduced
 
 
-def _sparse_rows(m):
-    n, e = m.cols, m.entries
-    return [{j: v for j, v in enumerate(e[i * n:(i + 1) * n]) if v}
-            for i in range(m.rows)]
-
-
-def _dense(ring, rows, nrows, ncols):
-    """The nrows x ncols matrix whose leading rows are the sparse ``rows``."""
-    flat = [ring.zero()] * (nrows * ncols)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            flat[i * ncols + j] = v
-    return Matrix(ring, nrows, ncols, flat, _trusted=True)
-
-
 def _reduce(ring, rows, ncols):
     """Gauss-Jordan elimination of sparse ``{col: value}`` rows on unit pivots.
 
@@ -393,7 +396,7 @@ def _reduce(ring, rows, ncols):
     one; it is scaled to 1 and cleared from every other row.  Over Z a
     column whose live entries are all non-units is deferred.  Entries in
     columns ``>= ncols`` ride along (right-hand sides).  The rows are
-    consumed.
+    copied, so a matrix's ``data`` can be passed as it is.
 
     Returns ``(pivots, prows, rest)``: the pivot columns, their rows, and
     the nonzero rows left without a pivot.  Over a field the pivot rows are
@@ -404,7 +407,7 @@ def _reduce(ring, rows, ncols):
     """
     p = ring.p
     integral = not ring.is_field
-    live = [r for r in rows if r]
+    live = [dict(r) for r in rows if r]
     pivots, prows = [], []
     for c in range(ncols):
         best = None
@@ -442,9 +445,10 @@ def rref(m):
     ring = m.ring
     if not ring.is_field:
         raise IntegerRingUnsupported("rref requires a field; use hnf/snf over Z")
-    pivots, prows, _ = _reduce(ring, _sparse_rows(m), m.cols)
+    pivots, prows, _ = _reduce(ring, m.data, m.cols)
+    prows += [{} for _ in range(m.rows - len(prows))]
     return RrefResult(len(pivots), pivots,
-                      _dense(ring, prows, m.rows, m.cols))
+                      Matrix._of(ring, m.rows, m.cols, prows))
 
 
 def _lift(ring, ncols, k, pivots, prows, assigned):
@@ -453,33 +457,29 @@ def _lift(ring, ncols, k, pivots, prows, assigned):
     pivot row's entries from column ``ncols`` on, minus the pivot row
     times the assigned rows."""
     p = ring.p
-    out = [ring.zero()] * (ncols * k)
-    for j, row in assigned.items():
-        for t, v in row.items():
-            out[j * k + t] = v
+    out = [assigned.get(j, {}) for j in range(ncols)]
     for pc, prow in zip(pivots, prows):
-        o = pc * k
+        acc = {}
         for j, v in prow.items():
             if j >= ncols:
-                out[o + j - ncols] += v
+                acc[j - ncols] = acc.get(j - ncols, 0) + v
             elif j in assigned:
                 for t, w in assigned[j].items():
-                    out[o + t] -= v * w
-        if p:
-            out[o:o + k] = [x % p for x in out[o:o + k]]
-    return Matrix(ring, ncols, k, out, _trusted=True)
+                    acc[t] = acc.get(t, 0) - v * w
+        out[pc] = {t: w % p for t, w in acc.items() if w % p} if p \
+            else {t: w for t, w in acc.items() if w}
+    return Matrix._of(ring, ncols, k, out)
 
 
-def _residual(ring, rest, ncols, k):
-    """The rows left without a unit pivot as dense matrices: their entries
-    in the columns below ``ncols`` that they touch, and their ``k`` columns
-    from ``ncols`` on.  Returns (touched columns, left part, right part)."""
+def _residual(rest, ncols):
+    """The rows left without a unit pivot, split into their entries in the
+    columns below ``ncols`` that they touch and their entries from ``ncols``
+    on.  Returns (touched columns, left rows, right rows)."""
     cols = sorted({j for r in rest for j in r if j < ncols})
     pos = {c: i for i, c in enumerate(cols)}
     left = [{pos[j]: v for j, v in r.items() if j < ncols} for r in rest]
     right = [{j - ncols: v for j, v in r.items() if j >= ncols} for r in rest]
-    return (cols, _dense(ring, left, len(rest), len(cols)),
-            _dense(ring, right, len(rest), k))
+    return cols, left, right
 
 
 # -- Hermite / Smith over Z ----------------------------------------------------
@@ -610,14 +610,14 @@ def kernel(m):
     One column per free column (no pivot, untouched by the residual), then,
     over Z, one per kernel vector of the residual's Smith form."""
     ring = m.ring
-    pivots, prows, rest = _reduce(ring, _sparse_rows(m), m.cols)
-    cols, res, _ = _residual(ring, rest, m.cols, 0)
+    pivots, prows, rest = _reduce(ring, m.data, m.cols)
+    cols, left, _ = _residual(rest, m.cols)
     taken = set(pivots).union(cols)
     free = [c for c in range(m.cols) if c not in taken]
     assigned = {c: {t: ring.one()} for t, c in enumerate(free)}
     k = len(free)
     if rest:
-        d, _, t = snf(res)
+        d, _, t = snf(Matrix._of(ring, len(rest), len(cols), left))
         n = min(d.rows, d.cols)
         null = [j for j in range(d.cols) if j >= n or d[j, j] == 0]
         for i, c in enumerate(cols):
@@ -637,17 +637,16 @@ def solve(a, b):
     if a.ring != b.ring or a.rows != b.rows:
         raise ValueError("shape/ring mismatch")
     ring = a.ring
-    rows = _sparse_rows(a)
-    for row, extra in zip(rows, _sparse_rows(b)):
-        row.update((a.cols + j, v) for j, v in extra.items())
+    rows = [{**ra, **{a.cols + j: v for j, v in rb.items()}} if rb else ra
+            for ra, rb in zip(a.data, b.data)]
     pivots, prows, rest = _reduce(ring, rows, a.cols)
     assigned = {}
     if rest:
         if ring.is_field:
             return None  # some row of a reduced to zero, its b part did not
-        cols, res, rhs = _residual(ring, rest, a.cols, b.cols)
-        d, s, t = snf(res)
-        sb = s * rhs
+        cols, left, right = _residual(rest, a.cols)
+        d, s, t = snf(Matrix._of(ring, len(rest), len(cols), left))
+        sb = s * Matrix._of(ring, len(rest), b.cols, right)
         n = min(d.rows, d.cols)
         y = [0] * (d.cols * b.cols)
         for i in range(d.rows):

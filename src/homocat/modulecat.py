@@ -350,13 +350,13 @@ def hom_basis(src, tgt):
     it = Matrix.identity(ring, tgt.dim)
     isrc = Matrix.identity(ring, src.dim)
     sys = it.kron(src.x_action.transpose()) - tgt.x_action.kron(isrc)
-    kb = kernel(sys)
     out = []
-    for j in range(kb.cols):
-        col = kb.col(j)
-        out.append(ModuleMap(src, tgt,
-                             Matrix(ring, tgt.dim, src.dim, list(col),
-                                    _trusted=True), check=False))
+    for vec in kernel(sys).transpose().data:
+        rows = [{} for _ in range(tgt.dim)]
+        for k, v in vec.items():
+            rows[k // src.dim][k % src.dim] = v
+        out.append(ModuleMap(src, tgt, check=False,
+                             mat=Matrix._of(ring, tgt.dim, src.dim, rows)))
     return out
 
 
@@ -498,10 +498,9 @@ class Decomposition:
         self.inverse = inverse
 
 
-def _nonzero_components(ring, X, n):
+def _nonzero_components(X):
     """Connected components of the symmetrized nonzero pattern of X."""
-    zero = ring.zero()
-    parent = list(range(n))
+    parent = list(range(X.rows))
 
     def find(a):
         while parent[a] != a:
@@ -509,12 +508,11 @@ def _nonzero_components(ring, X, n):
             a = parent[a]
         return a
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if X[i, j] != zero or X[j, i] != zero:
-                parent[find(i)] = find(j)
+    for i, row in enumerate(X.data):
+        for j in row:
+            parent[find(i)] = find(j)
     groups = {}
-    for i in range(n):
+    for i in range(X.rows):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
 
@@ -524,8 +522,9 @@ def decompose(module):
 
     The action matrix is first split along connected components of its
     nonzero pattern, so direct sums of small modules (as produced by tensor
-    products) avoid one large polynomial Smith computation, and the basis
-    is inverted one component at a time.
+    products) avoid one large polynomial Smith computation; components with
+    equal action matrices share one computation, and the basis is inverted
+    one component at a time.
     """
     alg = module.alg
     ring = alg.ring
@@ -534,40 +533,41 @@ def decompose(module):
     if alg.factorization is None:
         raise ValueError("decompose needs the factorization of p")
     n = module.dim
-    if n == 0:
-        empty = Matrix.zeros(ring, 0, 0)
-        return Decomposition(module, [], empty, empty)
     X = module.x_action
-    comps = _nonzero_components(ring, X, n)
-    pieces = []  # (tag, columns lifted to the whole module, component)
+    comps = _nonzero_components(X)
+    shared = {}
+    pieces = []  # (tag, columns on the component, component)
     for k, idx in enumerate(comps):
-        sub = Module(alg, len(idx), X.submatrix(idx, idx), check=False)
-        for tag, cols in _cyclic_pieces(sub):
-            lifted = []
-            for c in cols:
-                ent = [ring.zero()] * n
-                for r, gi in enumerate(idx):
-                    ent[gi] = c[r, 0]
-                lifted.append(Matrix(ring, n, 1, ent, _trusted=True))
-            pieces.append((tag, lifted, k))
+        sub = X.submatrix(idx, idx)
+        if sub not in shared:
+            shared[sub] = _cyclic_pieces(Module(alg, len(idx), sub,
+                                                check=False))
+        pieces.extend((tag, cols, k) for tag, cols in shared[sub])
     pieces.sort(key=lambda p: p[0].sort_key())
-    tags = [p[0] for p in pieces]
-    basis = Matrix.block(ring, [[c for p in pieces for c in p[1]]])
-    assert basis.rows == n and basis.cols == n
+    # basis column j is a piece column lifted to the rows of its component
+    rows = [{} for _ in range(n)]
+    pos = [[] for _ in comps]
+    j = 0
+    for _, cols, k in pieces:
+        idx = comps[k]
+        for c in cols:
+            pos[k].append(j)
+            for r, row in enumerate(c.data):
+                if row:
+                    rows[idx[r]][j] = row[0]
+            j += 1
+    basis = Matrix._of(ring, n, n, rows)
     # each component's columns are supported on its rows: invert it alone
-    owner = [p[2] for p in pieces for _ in p[1]]
-    inverse = [ring.zero()] * (n * n)
-    for k, idx in enumerate(comps):
-        pos = [j for j, o in enumerate(owner) if o == k]
-        inv = solve(basis.submatrix(idx, pos),
+    inverse = [{} for _ in range(n)]
+    for idx, cpos in zip(comps, pos):
+        inv = solve(basis.submatrix(idx, cpos),
                     Matrix.identity(ring, len(idx)))
-        assert len(pos) == len(idx) and inv is not None, \
+        assert len(cpos) == len(idx) and inv is not None, \
             "decomposition basis must be invertible"
-        for a, j in enumerate(pos):
-            for b, i in enumerate(idx):
-                inverse[j * n + i] = inv[a, b]
-    return Decomposition(module, tags, basis,
-                         Matrix(ring, n, n, inverse, _trusted=True))
+        for j, row in zip(cpos, inv.data):
+            inverse[j] = {idx[b]: v for b, v in row.items()}
+    return Decomposition(module, [p[0] for p in pieces], basis,
+                         Matrix._of(ring, n, n, inverse))
 
 
 def _cyclic_pieces(module):
@@ -589,13 +589,9 @@ def _cyclic_pieces(module):
         # generator of the cyclic summand k[x]/(f): evaluate column i of S^{-1}
         gen = Matrix.zeros(ring, n, 1)
         for j in range(n):
-            c = s_inv[j][i]
-            if not c:
-                continue
-            ej = Matrix(ring, n, 1,
-                        [ring.one() if r == j else ring.zero()
-                         for r in range(n)], _trusted=True)
-            gen = gen + peval_matrix(ring, c, X) * ej
+            if s_inv[j][i]:
+                gen = gen + peval_matrix(ring, s_inv[j][i], X).submatrix(
+                    range(n), [j])
         # split k[x]/(f) into primary parts along the factorization of p
         for q, _e in alg.factorization:
             a = 0

@@ -6,7 +6,7 @@ import pytest
 from homocat.exactlinalg import (
     GroundRing, PrimeField, Rationals, Integers, Matrix,
     IntegerRingUnsupported, rref, hnf, snf, kernel, solve,
-    matrix_to_json, matrix_from_json, _reduce, _sparse_rows,
+    matrix_to_json, matrix_from_json, _reduce,
 )
 
 F2 = PrimeField(2)
@@ -257,7 +257,7 @@ def test_integer_kernel_and_solve_against_smith_form():
 ], ids=["unimodular", "two-identity", "unit-then-residual"])
 def test_integer_residual_path(rows):
     a = M(Z, rows)
-    assert _reduce(Z, _sparse_rows(a), a.cols)[2], "leaves a residual"
+    assert _reduce(Z, a.data, a.cols)[2], "leaves a residual"
     assert kernel(a).cols == 0
     n = a.rows
     rhs = [Matrix(Z, n, 1, [int(i == j) for i in range(n)]) for j in range(n)]
@@ -276,6 +276,118 @@ def test_unimodular_without_unit_entries_is_inverted():
 
 def test_two_x_equals_four_and_three():
     two = M(Z, [[2]])
-    assert _reduce(Z, _sparse_rows(two), 1)[2], "leaves a residual"
+    assert _reduce(Z, two.data, 1)[2], "leaves a residual"
     assert solve(two, M(Z, [[4]])) == M(Z, [[2]])
     assert solve(two, M(Z, [[3]])) is None
+
+
+# -- the sparse Matrix against a dense reference ------------------------------
+
+SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (4, 4), (5, 3)]
+
+
+def _lists(ring, rng, rows, cols, density=0.4):
+    return [[ring.coerce(rng.randrange(-2, 3)) if rng.random() < density
+             else ring.zero() for _ in range(cols)] for _ in range(rows)]
+
+
+def _mat(ring, a, cols):
+    return Matrix(ring, len(a), cols, [x for row in a for x in row])
+
+
+def _ref_mul(ring, a, b, inner, cols):
+    out = []
+    for row in a:
+        acc = []
+        for j in range(cols):
+            s = ring.zero()
+            for k in range(inner):
+                s = ring.add(s, ring.mul(row[k], b[k][j]))
+            acc.append(s)
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("ring", [F2, F5, Q, Z], ids=["f2", "f5", "q", "z"])
+def test_sparse_matrix_matches_dense_reference(ring):
+    """Every Matrix operation equals a dense list-of-lists reference, on
+    seeded matrices that include 0 x n and n x 0 shapes."""
+    rng = random.Random("sparse-matrix-" + repr(ring))
+    z = ring.zero()
+    for _ in range(60):
+        (r, c), (_, k) = rng.choice(SHAPES), rng.choice(SHAPES)
+        a, b = _lists(ring, rng, r, c), _lists(ring, rng, r, c)
+        e = _lists(ring, rng, c, k)
+        A, B, E = _mat(ring, a, c), _mat(ring, b, c), _mat(ring, e, k)
+        assert A.tolists() == a and A.rows == r and A.cols == c
+        assert A.entries == tuple(x for row in a for x in row)
+        assert all(A.row(i) == tuple(a[i]) for i in range(r))
+        assert all(A.col(j) == tuple(row[j] for row in a) for j in range(c))
+        assert all(A[i, j] == a[i][j] for i in range(r) for j in range(c))
+        assert (A + B).tolists() == [[ring.add(x, y) for x, y in zip(p, q)]
+                                     for p, q in zip(a, b)]
+        assert (A - B).tolists() == [[ring.sub(x, y) for x, y in zip(p, q)]
+                                     for p, q in zip(a, b)]
+        assert (-A).tolists() == [[ring.neg(x) for x in p] for p in a]
+        for s in (0, 1, 2, -1):
+            assert A.scale(s).tolists() == [
+                [ring.mul(ring.coerce(s), x) for x in p] for p in a]
+        assert (A * E).tolists() == _ref_mul(ring, a, e, c, k)
+        assert A.transpose().tolists() == [[row[j] for row in a]
+                                           for j in range(c)]
+        assert A.kron(E).tolists() == [
+            [ring.mul(a[i][j], e[p][q]) for j in range(c) for q in range(k)]
+            for i in range(r) for p in range(c)]
+        assert A.hstack(B).tolists() == [p + q for p, q in zip(a, b)]
+        assert A.vstack(B).tolists() == a + b
+        assert Matrix.block(ring, [[A, None], [None, E]]).tolists() == \
+            [p + [z] * k for p in a] + [[z] * c + q for q in e]
+        ri = rng.sample(range(r), rng.randint(0, r))
+        ci = rng.sample(range(c), rng.randint(0, c))
+        assert A.submatrix(ri, ci).tolists() == [[a[i][j] for j in ci]
+                                                 for i in ri]
+        assert A.submatrix(ri, range(c)).tolists() == [a[i] for i in ri]
+        assert A.is_zero() == all(x == z for p in a for x in p)
+        assert Matrix.identity(ring, c).is_identity()
+        assert A.is_identity() == (r == c and a == Matrix.identity(
+            ring, c).tolists())
+        assert (A == B) == (a == b)
+        assert matrix_from_json(ring, matrix_to_json(A)) == A
+
+
+@pytest.mark.parametrize("ring", [F2, F5, Q, Z], ids=["f2", "f5", "q", "z"])
+def test_equal_matrices_hash_equal(ring):
+    """Equality and hashing are by value: explicit zeros, cancelled
+    entries and the order in which a row's entries were made do not count."""
+    rng = random.Random("sparse-hash-" + repr(ring))
+    for r, c in SHAPES:
+        a, b = _lists(ring, rng, r, c), _lists(ring, rng, r, c)
+        A, B = _mat(ring, a, c), _mat(ring, b, c)
+        ones = Matrix(ring, r, c, [1] * (r * c))
+        for x, y in ((A, Matrix.from_rows(ring, a) if r else A),
+                     (A + B - B, A), (A + B, B + A),
+                     (A.transpose().transpose(), A),
+                     (A + ones - ones, A),
+                     (A - A, Matrix.zeros(ring, r, c)),
+                     (A.scale(0), Matrix(ring, r, c, [0] * (r * c)))):
+            assert x == y and hash(x) == hash(y)
+        assert all(all(v != 0 for v in row.values())
+                   for m in (A + B - B, A - A, A.scale(0)) for row in m.data)
+
+
+@pytest.mark.parametrize("ring", [F2, F5, Q, Z], ids=["f2", "f5", "q", "z"])
+def test_elimination_leaves_its_input_unchanged(ring):
+    """rref, kernel and solve read a matrix's rows but never change them."""
+    rng = random.Random("sparse-input-" + repr(ring))
+    for _ in range(40):
+        m = _sparse_matrix(ring, rng)
+        rhs = _mat(ring, _lists(ring, rng, m.rows, 2), 2)
+        image = m * _mat(ring, _lists(ring, rng, m.cols, 2), 2)
+        before = [[dict(row) for row in x.data] for x in (m, rhs, image)]
+        if ring.is_field:
+            rref(m)
+        kernel(m)
+        solve(m, rhs)
+        assert solve(m, image) is not None
+        assert [[dict(row) for row in x.data]
+                for x in (m, rhs, image)] == before
