@@ -5,6 +5,7 @@ reports.  Exit code 0 when no check fails, 2 when a check is inconclusive,
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -13,16 +14,16 @@ from .modulecat import (cyclic_algebra, regular_module, trivial_module,
                         decompose, peval_scalar)
 from .complexes import (
     Complex, ChainMap, atom, shift, tensor, cone, minimize,
-    is_contractible, identity_map, restrict,
+    is_contractible, restrict,
 )
 from .eigen import (
-    ScalarShift, Eigenmap, eigencone, is_eigenobject,
+    ScalarShift, Eigenmap, is_eigenobject,
     check_PD1, check_PD2, check_PD3_capped, eigen_locus,
     mixed_eigencone, is_split_eigenobject,
 )
 from .interpolation import (
-    TruncationWindow, build_Cab, build_Cba, periodicity_map, canonical_map,
-    window_bounds, EMPTY_WINDOW,
+    TruncationWindow, build_Cab, build_Cba, periodicity_map, window_bounds,
+    EMPTY_WINDOW,
     verify_compact_description, verify_P_koszul, build_P,
     quasi_idempotent_check, verify_eigenaction, check_ladder,
     SmallnessViolated,
@@ -32,9 +33,8 @@ from .diagonalize import (
     verify_decomposition_of_identity, tightness_spot_check,
 )
 from .obstructions import (
-    z_cycle, bound_cycle, w_cycle, secondary_certificate,
-    cones_commute_equivalence, self_obstruction_certificate,
-    self_obstruction_consequence, commutation_homotopy,
+    w_cycle, secondary_certificate, cones_commute_equivalence,
+    self_obstruction_certificate, self_obstruction_consequence,
 )
 from .complexes import Homotopy, PASS, FAIL, INCONCLUSIVE
 
@@ -525,7 +525,13 @@ def main(argv=None):
     except SchemaViolation as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 3
-    emit_report(report, args.format)
+    try:
+        emit_report(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`| head`); send what is left to devnull,
+        # so that the interpreter's closing flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report_exit_code(report)
 
 

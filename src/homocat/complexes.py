@@ -12,8 +12,8 @@ from .exactlinalg import (
     matrix_to_json, matrix_from_json, _stack,
 )
 from .modulecat import (
-    AlgebraPresentation, Module, ModuleMap, Decomposition,
-    decompose, direct_sum_modules, tensor_modules, hom_basis, zero_module,
+    AlgebraPresentation, Module, decompose, direct_sum_modules,
+    tensor_modules, hom_basis, zero_module,
 )
 
 
@@ -402,19 +402,6 @@ def cone_inclusion(f, c=None):
         m = Matrix.zeros(ring, dx, dy).vstack(Matrix.identity(ring, dy))
         comps[d] = m
     return ChainMap(f.tgt, c, 0, comps, check=False)
-
-
-def cone_projection(f, c=None):
-    """pi: Cone(f) -> src[1]."""
-    c = cone(f) if c is None else c
-    sh = shift(f.src, 1)
-    ring = f.src.alg.ring
-    comps = {}
-    for d in c.degrees():
-        dx = f.src.term(d + 1).dim
-        dy = f.tgt.term(d).dim
-        comps[d] = Matrix.identity(ring, dx).hstack(Matrix.zeros(ring, dx, dy))
-    return ChainMap(c, sh, 0, comps, check=False)
 
 
 # -- homology -------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Finite-poset twisted complexes, convolutions, reassociation, simultaneous
-simplification by homological perturbation, zigzag assembly, and the section
-combinatorics used by relative diagonalization."""
+"""Finite-poset twisted complexes, convolutions, simultaneous simplification
+by homological perturbation, and zigzag assembly."""
 
 from .exactlinalg import Matrix, _stack
-from .modulecat import Module, direct_sum_modules, zero_module
+from .modulecat import direct_sum_modules, zero_module
 from .complexes import (
-    Complex, ChainMap, Homotopy, Verdict, PASS, FAIL, INCONCLUSIVE,
+    Complex, ChainMap, Homotopy, Verdict, PASS, FAIL,
     zero_complex, shift, identity_map, minimize, maps_equal,
     bracket,
 )
@@ -15,23 +14,11 @@ class CurvatureViolation(Exception):
     pass
 
 
-class NotConvex(Exception):
-    pass
-
-
-class PreorderNotPartialOrder(Exception):
-    pass
-
-
 class InvalidRetract(Exception):
     pass
 
 
 class NotAChainMap(Exception):
-    pass
-
-
-class TooLarge(Exception):
     pass
 
 
@@ -60,9 +47,6 @@ class Poset:
     def leq(self, a, b):
         return (a, b) in self.rel
 
-    def comparable(self, a, b):
-        return self.leq(a, b) or self.leq(b, a)
-
     def interval(self, j, i):
         return [k for k in self.elements if self.leq(j, k) and self.leq(k, i)]
 
@@ -77,15 +61,6 @@ class Poset:
             out.append(pick)
             remaining.remove(pick)
         return out
-
-    def is_convex(self, subset):
-        ss = set(subset)
-        for j in ss:
-            for i in ss:
-                for k in self.interval(j, i):
-                    if k not in ss:
-                        return False
-        return True
 
 
 class TwistedComplex:
@@ -108,9 +83,6 @@ class TwistedComplex:
 
 def validate(t):
     """All three twisted-complex conditions, checked exactly."""
-    ring = None
-    for lab, layer in t.layers.items():
-        ring = layer.alg.ring
     for (i, j), f in t.cross.items():
         for d, m in f.comps.items():
             src = t.layers[j].term(d)
@@ -160,12 +132,22 @@ def _tot_layout(t, order, d):
     return out, off
 
 
-def tot(t, order=None, check=True):
-    """Total complex: direct sum of layers with the twisted differential."""
-    if check:
+def tot(t, order=None):
+    """Total complex: direct sum of layers with the twisted differential.
+
+    The total is a checked Complex: block (i, j) of d^2 is the Maurer-Cartan
+    sum of the pair, so its d^2 = 0 check covers every pair at once.  Only
+    when that check fails does validate run, to name the pair and degree."""
+    try:
+        return _assemble_tot(t, order)
+    except ValueError:
         v = validate(t)
-        if not v.passed:
-            raise CurvatureViolation(v.reason)
+        if v.passed:
+            raise
+        raise CurvatureViolation(v.reason) from None
+
+
+def _assemble_tot(t, order):
     if order is None:
         order = t.poset.linear_extension()
     nonzero = [lab for lab in order if not t.layers[lab].is_zero()]
@@ -197,122 +179,14 @@ def tot(t, order=None, check=True):
                     continue
                 if i == j or (t.poset.leq(j, i) and (i, j) in t.cross):
                     b = _dblock(t, i, j, d)
+                    if (b.rows, b.cols) != (tdim, sdim):
+                        raise ValueError(f"block ({i},{j}) has the wrong "
+                                         f"shape in degree {d}")
                     if not b.is_zero():
                         grid[ti][si] = b
         diffs.append(_stack(ring, grid, [x[2] for x in tlay],
                             [x[2] for x in slay]))
     return Complex(alg, lo, terms, diffs)
-
-
-def contribution(t, subset, order=None):
-    """Total complex of the sub-twisted-complex carried by a convex subset."""
-    return tot(restrict_twisted(t, subset), order=order, check=False)
-
-
-def restrict_twisted(t, subset):
-    ss = list(subset)
-    if not t.poset.is_convex(ss):
-        raise NotConvex(f"{subset} is not convex")
-    sub_rel = {(a, b) for (a, b) in t.poset.rel if a in ss and b in ss}
-    p = Poset(ss, sub_rel)
-    layers = {lab: t.layers[lab] for lab in ss}
-    cross = {(i, j): f for (i, j), f in t.cross.items()
-             if i in ss and j in ss}
-    return TwistedComplex(p, layers, cross)
-
-
-def reassociate(t, blocks):
-    """Group elements into convex blocks; tot is unchanged up to reindexing.
-
-    blocks: list of element lists partitioning the poset.  The induced
-    relation on blocks must be a partial order.  Cross-differential signs are
-    inherited verbatim; the result is re-validated.
-    """
-    seen = set()
-    for b in blocks:
-        for e in b:
-            if e in seen:
-                raise ValueError("blocks are not disjoint")
-            seen.add(e)
-    if seen != set(t.poset.elements):
-        raise ValueError("blocks do not cover the poset")
-    labels = [tuple(sorted(b)) for b in blocks]
-    whichblock = {}
-    for lab, b in zip(labels, blocks):
-        for e in b:
-            whichblock[e] = lab
-    # induced relation + transitive closure; antisymmetry must survive
-    rel = set()
-    for (a, b) in t.poset.rel:
-        rel.add((whichblock[a], whichblock[b]))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for (c, d) in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-    for (a, b) in rel:
-        if a != b and (b, a) in rel:
-            raise PreorderNotPartialOrder(f"blocks {a} and {b} form a cycle")
-    bposet = Poset(labels, rel)
-    ext = t.poset.linear_extension()
-    inner = {lab: [e for e in ext if whichblock[e] == lab] for lab in labels}
-    layers = {lab: contribution(t, inner[lab], order=inner[lab])
-              for lab in labels}
-    cross = {}
-    ring = next(iter(t.layers.values())).alg.ring
-    for bi in labels:
-        for bj in labels:
-            if bi == bj or not bposet.leq(bj, bi):
-                continue
-            comps = {}
-            lo = min([t.layers[e].min_deg for e in inner[bj]
-                      if not t.layers[e].is_zero()] or [0])
-            hi = max([t.layers[e].max_deg for e in inner[bj]
-                      if not t.layers[e].is_zero()] or [0])
-            for d in range(lo, hi + 1):
-                slay, cols = _tot_layout(t, inner[bj], d)
-                tlay, rows = _tot_layout(t, inner[bi], d + 1)
-                if cols == 0 or rows == 0:
-                    continue
-                grid = [[None] * len(slay) for _ in range(len(tlay))]
-                nz = False
-                for si, (j, _, sd) in enumerate(slay):
-                    for ti, (i, _, td) in enumerate(tlay):
-                        if (i, j) in t.cross:
-                            b = _dblock(t, i, j, d)
-                            if not b.is_zero():
-                                grid[ti][si] = b
-                                nz = True
-                if nz:
-                    comps[d] = _stack(ring, grid, [x[2] for x in tlay],
-                                      [x[2] for x in slay])
-            if comps:
-                cross[(bi, bj)] = ChainMap(layers[bj], layers[bi], 1, comps,
-                                           check=False)
-    out = TwistedComplex(bposet, layers, cross)
-    v = validate(out)
-    if not v.passed:
-        raise CurvatureViolation(f"reassociation broke d^2 = 0: {v.reason}")
-    return out
-
-
-def reassociation_order(t, blocks):
-    """The element order under which tot(t) equals tot(reassociate(t, blocks))
-    on the nose: block linear extension, then the inner extension."""
-    labels = [tuple(sorted(b)) for b in blocks]
-    whichblock = {}
-    for lab, b in zip(labels, blocks):
-        for e in b:
-            whichblock[e] = lab
-    r = reassociate(t, blocks)
-    ext = t.poset.linear_extension()
-    out = []
-    for lab in r.poset.linear_extension():
-        out.extend(e for e in ext if whichblock[e] == lab)
-    return out
 
 
 class SimplifyResult:
@@ -352,7 +226,7 @@ def simplify_layers(t, retracts=None, order=None):
 
     min_layers = {lab: retracts[lab].minimal for lab in order}
     bare = TwistedComplex(t.poset, min_layers, {})
-    M0 = tot(bare, order=order, check=False)
+    M0 = tot(bare, order=order)
 
     def blockdiag(src_t, tgt_t, per_layer, degshift):
         comps = {}
@@ -457,7 +331,7 @@ def simplify_layers(t, retracts=None, order=None):
     v = validate(out_t)
     if not v.passed:
         raise CurvatureViolation(f"transfer broke the twisted identity: {v.reason}")
-    Tmin = tot(out_t, order=order, check=False)
+    Tmin = tot(out_t, order=order)
 
     hAi = hneg.compose(A).compose(i0)
     pAh = p0.compose(A).compose(hneg)
@@ -524,86 +398,3 @@ def zigzag_tot(layers, gmaps):
     """Total complex of a zigzag, layers ordered by their index."""
     t = zigzag_twisted(layers, gmaps)
     return tot(t, order=list(range(len(layers))))
-
-
-# -- section combinatorics -------------------------------------------------------
-
-def sections_analysis(y_poset, y_x):
-    """Exhaustively verify the partition of sections into convex blocks.
-
-    B: comparable 2-element subsets of the poset; a section picks one element
-    of each pair; for y in the totally ordered subset y_x, the y-avoiding
-    sections form one block, all remaining sections are singletons.  Verified:
-    pairwise disjointness, convexity of every block, and antisymmetry of the
-    induced block preorder.
-    """
-    if len(y_poset.elements) > 6:
-        raise TooLarge("sections_analysis is brute force; at most 6 elements")
-    y_x = list(y_x)
-    for a in y_x:
-        for b in y_x:
-            if not y_poset.comparable(a, b):
-                raise ValueError("y_x must be totally ordered")
-    B = sorted({tuple(sorted((a, b)))
-                for a in y_poset.elements for b in y_poset.elements
-                if a != b and y_poset.comparable(a, b)})
-    sections = [()]
-    for b in B:
-        sections = [s + (pick,) for s in sections for pick in b]
-
-    def sec_leq(s1, s2):
-        return all(y_poset.leq(v1, v2) for v1, v2 in zip(s1, s2))
-
-    def avoiding(s, y):
-        return all(v != y for v in s)
-
-    omega_parts = {y: [s for s in sections if avoiding(s, y)] for y in y_x}
-    covered = set()
-    for y, part in omega_parts.items():
-        for s in part:
-            if s in covered:
-                return {"partition_ok": False,
-                        "reason": "blocks are not disjoint"}
-            covered.add(s)
-    singletons = [s for s in sections if s not in covered]
-    parts = [tuple(part) for part in omega_parts.values() if part] + \
-        [(s,) for s in singletons]
-
-    ok = True
-    reason = None
-    # convexity of each part
-    for part in parts:
-        ps = set(part)
-        for s1 in part:
-            for s2 in part:
-                for s in sections:
-                    if sec_leq(s1, s) and sec_leq(s, s2) and s not in ps:
-                        ok = False
-                        reason = "a block is not convex"
-    # induced preorder antisymmetry
-    if ok:
-        n = len(parts)
-        edge = [[False] * n for _ in range(n)]
-        for i1, p1 in enumerate(parts):
-            for i2, p2 in enumerate(parts):
-                if i1 != i2 and any(sec_leq(a, b) for a in p1 for b in p2):
-                    edge[i1][i2] = True
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    if edge[i][k] and edge[k][j]:
-                        edge[i][j] = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if edge[i][j] and edge[j][i]:
-                    ok = False
-                    reason = "induced block preorder has a 2-cycle"
-    return {
-        "comparable_pairs": B,
-        "num_sections": len(sections),
-        "avoiding_counts": {y: len(omega_parts[y]) for y in y_x},
-        "num_singletons": len(singletons),
-        "partition_ok": ok,
-        "reason": reason,
-        "verdict": Verdict(PASS if ok else FAIL, reason=reason),
-    }

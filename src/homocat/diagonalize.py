@@ -1,32 +1,22 @@
 """End-to-end verification that a family of truncated projectors behaves as
 an orthogonal idempotent decomposition: orthogonality, idempotence,
-decomposition of identity, tightness spot checks, the idempotent partial
-order, subquotient idempotents, and refinement of two decompositions.
+decomposition of identity and tightness spot checks.
 
 Window judgments reduce each tensor factor to its minimal model first;
 products of minimal models are small, so the windowed minimizations stay
-cheap even for refined (doubly tensored) families.
+cheap.
 """
 
 from .exactlinalg import IntegerRingUnsupported
 from .modulecat import trivial_module
 from .complexes import (
-    Complex, ChainMap, atom, tensor, tensor_maps, identity_map, cone,
-    restrict, minimize, equivalent, is_contractible,
+    atom, tensor, cone, restrict, minimize, equivalent, is_contractible,
     Verdict, PASS, FAIL, INCONCLUSIVE,
 )
-from .convolutions import (
-    Poset, TwistedComplex, validate, tot, contribution, zigzag_twisted,
-    TooLarge,
-)
+from .convolutions import Poset, TwistedComplex, tot, zigzag_twisted
 from .interpolation import (
-    TruncatedPeriodic, TruncationWindow, canonical_map, DEFAULT_DIRECTION,
-    EMPTY_WINDOW,
+    TruncatedPeriodic, canonical_map, DEFAULT_DIRECTION, EMPTY_WINDOW,
 )
-
-
-class CommutationUncertified(Exception):
-    pass
 
 
 _BIG = 10 ** 9
@@ -195,7 +185,7 @@ def verify_decomposition_of_identity(ps, connecting=None, window=None,
     else:
         layers = {i: _complex_of(p) for i, p in enumerate(ps)}
         t = TwistedComplex(_chain_poset(len(ps)), layers, dict(connecting))
-    full = tot(t, check=True)
+    full = tot(t)
     edge = max(_edge_of(p) for p in ps)
     got = _interior_dims(_piece(_reduced(full), (full.min_deg, full.max_deg),
                                 edge, direction))
@@ -240,181 +230,3 @@ def tightness_spot_check(a_list, p_list, test_objects,
                                       f"{'fixes' if fixed.passed else 'moves'}"
                                       f" the object")
     return Verdict(PASS)
-
-
-# -- partial order ------------------------------------------------------------
-
-def _absorbs(p, q, direction, seed):
-    """p (x) q ~ p and q (x) p ~ p on the windows (p lies under q)."""
-    own = _piece(_reduced(_complex_of(p)),
-                 (_complex_of(p).min_deg, _complex_of(p).max_deg),
-                 _edge_of(p), direction)
-    for pair in ([p, q], [q, p]):
-        v = _equiv_on_common(_product_piece(pair, direction), own, seed)
-        if v.status == INCONCLUSIVE:
-            return v
-        if not v.passed:
-            return Verdict(FAIL)
-    return Verdict(PASS)
-
-
-def compare_idempotents(p1, p2, direction=DEFAULT_DIRECTION, seed=0xC0FFEE):
-    """Order relation between two idempotents: '<=', '>=', 'equal', or
-    'incomparable' (both products judged on stable windows)."""
-    le = _absorbs(p1, p2, direction, seed)
-    ge = _absorbs(p2, p1, direction, seed)
-    if le.status == INCONCLUSIVE or ge.status == INCONCLUSIVE:
-        return "inconclusive"
-    if le.passed and ge.passed:
-        return "equal"
-    if le.passed:
-        return "<="
-    if ge.passed:
-        return ">="
-    return "incomparable"
-
-
-# -- subquotient idempotents ---------------------------------------------------
-
-def _convex_subsets(poset):
-    els = list(poset.elements)
-    if len(els) > 4:
-        raise TooLarge("convex-subset enumeration is capped at 4 elements")
-    out = []
-    for mask in range(1 << len(els)):
-        ss = [e for k, e in enumerate(els) if mask >> k & 1]
-        if poset.is_convex(ss):
-            out.append(tuple(ss))
-    return out
-
-
-def _contrib(t, subset):
-    ss = list(subset)
-    if not ss:
-        alg = next(iter(t.layers.values())).alg
-        from .modulecat import zero_module
-        return Complex(alg, 0, [zero_module(alg)], [], check=False)
-    return contribution(t, ss)
-
-
-def subquotient_idempotent(t, k, edge=0, direction=DEFAULT_DIRECTION,
-                           seed=0xC0FFEE):
-    """Contribution of a convex subset of a verified decomposition, with
-    idempotence and the intersection law P_J (x) P_K ~ P_(J n K) verified on
-    all convex pairs of the poset."""
-    pk = _contrib(t, k)
-    subs = _convex_subsets(t.poset)
-    pieces = {}
-    for ss in subs:
-        raw = _contrib(t, ss)
-        span = (raw.min_deg, raw.max_deg)
-        c = _reduced(raw)
-        pieces[ss] = (c, span, _piece(c, span, edge, direction))
-    for J in subs:
-        for K in subs:
-            meet = tuple(e for e in J if e in K)
-            cj, sj, _ = pieces[J]
-            ck, sk, _ = pieces[K]
-            _, _, target = pieces[meet]
-            if cj.is_zero() or ck.is_zero():
-                got = None
-            else:
-                prod = tensor(cj, ck)
-                got = _piece(prod, (sj[0] + sk[0], sj[1] + sk[1]),
-                             2 * edge, direction)
-            gd = _interior_dims(got)
-            td = _interior_dims(target)
-            if not gd and not td:
-                continue
-            if not gd or not td:
-                return pk, Verdict(
-                    FAIL, reason=f"{J} (x) {K} does not match the "
-                                 f"intersection {meet}: {gd} vs {td}")
-            v = _equiv_on_common(got, target, seed)
-            if v.status == INCONCLUSIVE:
-                return pk, v
-            if not v.passed:
-                return pk, Verdict(
-                    FAIL, reason=f"intersection law fails for {J}, {K}")
-    return pk, Verdict(PASS)
-
-
-# -- refinement ----------------------------------------------------------------
-
-def refine_decompositions(t1, t2, certificates=None, edge=0,
-                          direction=DEFAULT_DIRECTION, seed=0xC0FFEE):
-    """Product-poset twisted complex of two decompositions of identity.
-
-    Pairwise commutation of the layers must be certified by the caller;
-    orthogonality, idempotence and the unit total are then verified on
-    stable windows.  Returns (twisted complex, verdict)."""
-    if len(t2.layers) == 1:
-        return t1, Verdict(PASS, reason="refining by a single idempotent "
-                                        "leaves the family unchanged")
-    for i in t1.poset.elements:
-        for j in t2.poset.elements:
-            cert = None if certificates is None else certificates.get((i, j))
-            if cert is None or not getattr(cert, "passed", False):
-                raise CommutationUncertified(
-                    f"no commutation certificate for pair ({i}, {j})")
-    els = [(i, j) for i in t1.poset.elements for j in t2.poset.elements]
-    rel = {(p, q) for p in els for q in els
-           if t1.poset.leq(p[0], q[0]) and t2.poset.leq(p[1], q[1])}
-    poset = Poset(els, rel)
-    layers = {(i, j): tensor(t1.layers[i], t2.layers[j]) for (i, j) in els}
-    cross = {}
-    for (a, b), f in t1.cross.items():
-        for j in t2.poset.elements:
-            cross[((a, j), (b, j))] = tensor_maps(
-                f, identity_map(t2.layers[j]))
-    for (a, b), g in t2.cross.items():
-        for i in t1.poset.elements:
-            cross[((i, a), (i, b))] = tensor_maps(
-                identity_map(t1.layers[i]), g)
-    t = TwistedComplex(poset, layers, cross)
-    v = validate(t)
-    if not v.passed:
-        return t, Verdict(FAIL, reason=f"refined family is not a twisted "
-                                       f"complex: {v.reason}")
-    # a refined layer is a product of one layer from each family, so its
-    # orthogonality and idempotence reduce to the same facts about the
-    # factors: a factor equivalent to zero kills the product, and idempotent
-    # factors give an idempotent product.
-    for src, name in ((t1, "first"), (t2, "second")):
-        red = {i: _reduced(src.layers[i]) for i in src.poset.elements}
-        spn = {i: (src.layers[i].min_deg, src.layers[i].max_deg)
-               for i in src.poset.elements}
-        for i in src.poset.elements:
-            for j in src.poset.elements:
-                prod = tensor(red[i], red[j])
-                piece = _piece(prod, (spn[i][0] + spn[j][0],
-                                      spn[i][1] + spn[j][1]),
-                               2 * edge, direction)
-                if i != j:
-                    got = _interior_dims(piece)
-                    if got:
-                        return t, Verdict(
-                            FAIL, reason=f"layers {i} and {j} of the {name} "
-                                         f"family are not orthogonal: {got}")
-                else:
-                    own = _piece(red[i], spn[i], edge, direction)
-                    if not _interior_dims(own):
-                        continue
-                    v = _equiv_on_common(piece, own, seed)
-                    if v.status == INCONCLUSIVE:
-                        return t, v
-                    if not v.passed:
-                        return t, Verdict(
-                            FAIL, reason=f"layer {i} of the {name} family "
-                                         f"is not idempotent")
-    # unit total, via the structural identity tot(t) = tot(t1) (x) tot(t2)
-    u1 = tot(t1, check=False)
-    u2 = tot(t2, check=False)
-    got = _interior_dims(_piece(tensor(_reduced(u1), _reduced(u2)),
-                                (u1.min_deg + u2.min_deg,
-                                 u1.max_deg + u2.max_deg),
-                                2 * edge, direction))
-    if got != {0: 1}:
-        return t, Verdict(FAIL,
-                          reason=f"refined total is not the unit: {got}")
-    return t, Verdict(PASS)

@@ -10,10 +10,10 @@ from .modulecat import trivial_module
 from .complexes import (
     Complex, ChainMap, Homotopy, Verdict, PASS, FAIL, INCONCLUSIVE,
     atom, shift, direct_sum, tensor, cone, homology,
-    is_contractible, solve_null_homotopy, identity_map, zero_map,
-    minimize, equivalent, maps_equal, bracket, _Unknowns,
+    is_contractible, identity_map, zero_map, minimize, maps_equal,
+    bracket, _Unknowns,
 )
-from .convolutions import Poset, TwistedComplex, tot, validate
+from .convolutions import Poset, TwistedComplex, tot, CurvatureViolation
 
 
 class ScalarMismatch(Exception):
@@ -323,11 +323,10 @@ def mixed_eigencone(a, b, h=None):
                    if not h.comp(d + 1).is_zero()}
         if t_comps:
             cross[(2, 0)] = ChainMap(lam1, mum1, 1, t_comps, check=False)
-    t = TwistedComplex(poset, layers, cross)
-    v = validate(t)
-    if not v.passed:
-        raise CompositeNotKilled(f"twisted identity fails: {v.reason}")
-    return tot(t, order=[0, 1, 2], check=False)
+    try:
+        return tot(TwistedComplex(poset, layers, cross), order=[0, 1, 2])
+    except CurvatureViolation as e:
+        raise CompositeNotKilled(f"twisted identity fails: {e}") from None
 
 
 def is_split_eigenobject(a, b, m):
@@ -343,7 +342,7 @@ def is_split_eigenobject(a, b, m):
         mc = atom(m)
     if mc.is_zero():
         raise ValueError("eigenobjects are nonzero by definition")
-    from .complexes import tensor_maps, chain_map_space
+    from .complexes import tensor_maps
     F = a.tgt
     FM = tensor(F, mc)
     lamM = tensor(a.src, mc)

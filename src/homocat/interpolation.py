@@ -7,20 +7,16 @@ from .modulecat import trivial_module
 from .complexes import (
     ChainMap, Verdict, PASS, FAIL, INCONCLUSIVE,
     atom, zero_complex, shift, direct_sum, tensor, tensor_layout, tensor_maps,
-    cone, homology, identity_map, solve_null_homotopy, homotopy_inverse,
-    restrict, restrict_map, equivalent, complex_to_json, complex_from_json,
+    cone, homology, identity_map, solve_null_homotopy, restrict, restrict_map,
+    equivalent, complex_to_json, complex_from_json,
 )
 from .convolutions import (
     Poset, TwistedComplex, tot, zigzag_tot, NotAChainMap, CurvatureViolation,
 )
-from .eigen import Eigenmap, ScalarShift, is_eigenobject
+from .eigen import Eigenmap, ScalarShift
 
 
 class SmallnessViolated(Exception):
-    pass
-
-
-class NotAnEigenobject(Exception):
     pass
 
 
@@ -54,11 +50,6 @@ class TruncationWindow:
 
     def __repr__(self):
         return f"TruncationWindow(depth={self.depth}, edge={self.edge})"
-
-
-def default_window(f):
-    """Depth 12, edge twice the length of the operator complex plus two."""
-    return TruncationWindow(12, 2 * (f.max_deg - f.min_deg + 1) + 2)
 
 
 EMPTY_WINDOW = "stable window is empty"
@@ -600,7 +591,7 @@ def verify_compact_description(a, b, w, kind="Cab",
         cross = {}
     twisted = TwistedComplex(poset, dict(enumerate(copies)), cross)
     try:
-        predicted = tot(twisted, order=list(range(len(copies))), check=True)
+        predicted = tot(twisted, order=list(range(len(copies))))
     except (CurvatureViolation, ValueError) as e:
         return Verdict(FAIL, reason=f"predicted rebuild is not a complex: {e}")
     perms = _degree_perms(tp, copies, where, g, predicted)
@@ -737,7 +728,7 @@ def verify_P_koszul(maps, i, w, direction=DEFAULT_DIRECTION,
             cross = {}
         twisted = TwistedComplex(poset, dict(enumerate(copies)), cross)
         try:
-            p = tot(twisted, order=list(range(len(copies))), check=True)
+            p = tot(twisted, order=list(range(len(copies))))
         except (CurvatureViolation, ValueError) as e:
             return Verdict(FAIL,
                            reason=f"predicted rebuild is not a complex: {e}")
@@ -792,22 +783,6 @@ def _tensor_compare(a1, a2, p1, p2, perm1, perm2, actual, predicted):
 
 
 # -- eigen action ---------------------------------------------------------
-
-def rho(a_num, a_den, m):
-    """Quotient action of one eigenmap by another on a genuine eigenobject:
-    invert the denominator action up to homotopy, compose with the
-    numerator action."""
-    v = is_eigenobject(a_den, m)
-    if not v.passed:
-        raise NotAnEigenobject(
-            f"not an eigenobject for the denominator: {v.reason}")
-    f = tensor_maps(a_den.map, identity_map(m))
-    hv = homotopy_inverse(f)
-    if not hv.passed:
-        raise NotAnEigenobject("denominator action has no homotopy inverse")
-    psi = hv.witness[0]
-    return psi.compose(tensor_maps(a_num.map, identity_map(m)))
-
 
 def verify_eigenaction(maps, i, w, certificates=None,
                        direction=DEFAULT_DIRECTION, j=None, flip=False,

@@ -7,6 +7,8 @@ module (x acts by 1) the monoidal unit and gives A (x) A = A^m for the regular
 module over k[x]/(x^m - 1).
 """
 
+from functools import cache
+
 from .exactlinalg import (
     Matrix, IntegerRingUnsupported, kernel, solve,
 )
@@ -290,7 +292,9 @@ class ModuleMap:
         return f"ModuleMap({self.src!r} -> {self.tgt!r})"
 
 
+@cache
 def zero_module(alg):
+    """The zero module, one shared instance per algebra."""
     return Module(alg, 0, Matrix.zeros(alg.ring, 0, 0))
 
 
@@ -327,12 +331,6 @@ def tensor_modules(a, b):
         raise ValueError("algebra mismatch")
     return Module(a.alg, a.dim * b.dim, a.x_action.kron(b.x_action),
                   check=False)
-
-
-def tensor_maps(f, g):
-    return ModuleMap(tensor_modules(f.src, g.src),
-                     tensor_modules(f.tgt, g.tgt),
-                     f.mat.kron(g.mat), check=False)
 
 
 def hom_basis(src, tgt):

@@ -1,18 +1,17 @@
-"""Obstruction calculus for commutativity of mapping cones and zigzag
-totals: commutation homotopies, secondary obstruction cycles, the self
-obstruction, bounding homotopies, explicit commutation equivalences, and
-certificates that re-verify from raw data on every use."""
+"""Obstruction calculus for commutativity of mapping cones: secondary
+obstruction cycles, the self obstruction, bounding homotopies, explicit
+commutation equivalences, and certificates that re-verify from raw data on
+every use."""
 
 from .exactlinalg import Matrix, matrix_to_json, matrix_from_json
 from .complexes import (
-    Complex, ChainMap, Homotopy, atom, shift, tensor, tensor_maps,
+    ChainMap, Homotopy, shift, tensor, tensor_maps,
     bracket, maps_equal, _is_invertible,
     identity_map, zero_map, swap, cone, direct_sum, tensor_layout,
-    solve_null_homotopy, is_contractible, equivalent,
+    solve_null_homotopy, is_contractible,
     complex_to_json, complex_from_json,
-    Verdict, PASS, FAIL, INCONCLUSIVE,
+    Verdict, PASS, FAIL,
 )
-from .convolutions import zigzag_twisted, zigzag_tot, tot
 
 
 class HomotopyEquationViolated(Exception):
@@ -73,39 +72,12 @@ class CommutationCertificate:
 
 # -- primary obstruction -------------------------------------------------------
 
-def _commutation_defect(g, F, phi0=None, phi1=None):
-    """phi1 (g (x) id_F) - (id_F (x) g) phi0 for g: G0 -> G1."""
-    if phi0 is None:
-        phi0 = swap(g.src, F)
-    if phi1 is None:
-        phi1 = swap(g.tgt, F)
-    lhs = phi1.compose(tensor_maps(g, identity_map(F)))
-    rhs = tensor_maps(identity_map(F), g).compose(phi0)
+def _commutation_defect(g, F):
+    """tau_1 (g (x) id_F) - (id_F (x) g) tau_0 for g: G0 -> G1, with tau_i
+    the braiding of G_i past F."""
+    lhs = swap(g.tgt, F).compose(tensor_maps(g, identity_map(F)))
+    rhs = tensor_maps(identity_map(F), g).compose(swap(g.src, F))
     return lhs - rhs
-
-
-def commutation_homotopy(a, f):
-    """Homotopy h with [d, h] = defect of commuting the map of a past f.
-
-    With the braiding of the base category the defect vanishes strictly for
-    maps whose components sit in even degrees, and h = 0 is returned; in
-    general an exact linear solve is attempted."""
-    g = a.map if hasattr(a, "map") else a
-    defect = _commutation_defect(g, f)
-    if defect.is_zero():
-        h = Homotopy(defect.src, defect.tgt, -1, {})
-        return Verdict(PASS, witness=h)
-    return solve_null_homotopy(defect)
-
-
-def commutation_certificate(a, f, subject=("map", "object")):
-    v = commutation_homotopy(a, f)
-    if not v.passed:
-        return None, v
-    g = a.map if hasattr(a, "map") else a
-    return CommutationCertificate(
-        subject, {"h": v.witness},
-        [("h", _commutation_defect(g, f))]), v
 
 
 # -- secondary obstruction -----------------------------------------------------
@@ -665,245 +637,6 @@ def self_obstruction_consequence(a, certificate):
         cone_collapse_map(gid, m)).compose(cone_assoc_left(g, C))
     psi = ChainMap(psi.src, psi.tgt, 0, dict(psi.comps))
     return equivalence_verdict(psi)
-
-
-# -- zigzags -----------------------------------------------------------------
-
-def _cross_ends(k):
-    """Edge k of a zigzag joins layers k and k+1; the odd end is the source."""
-    return (k + 1, k) if k % 2 == 0 else (k, k + 1)
-
-
-def _fold_sum(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        out = direct_sum(out, p)
-    return out
-
-
-def _sum_offsets(parts, n):
-    offs, off = [], 0
-    for p in parts:
-        offs.append(off)
-        off += p.term(n).dim
-    return offs, off
-
-
-def _summand_map(parts, whole, i, into):
-    ring = whole.alg.ring
-    comps = {}
-    for n in whole.degrees():
-        offs, total = _sum_offsets(parts, n)
-        d = parts[i].term(n).dim
-        if d == 0 or total == 0:
-            continue
-        big, small = (total, d)
-        e = [ring.zero()] * (big * small)
-        for r in range(d):
-            if into:
-                e[(offs[i] + r) * d + r] = ring.one()
-            else:
-                e[r * total + (offs[i] + r)] = ring.one()
-        if into:
-            comps[n] = Matrix(ring, total, d, e, _trusted=True)
-        else:
-            comps[n] = Matrix(ring, d, total, e, _trusted=True)
-    if into:
-        return ChainMap(parts[i], whole, 0, comps, check=False)
-    return ChainMap(whole, parts[i], 0, comps, check=False)
-
-
-def _summand_incl(parts, whole, i):
-    return _summand_map(parts, whole, i, True)
-
-
-def _summand_proj(parts, whole, i):
-    return _summand_map(parts, whole, i, False)
-
-
-def zigzag_map(src_layers, src_gmaps, tgt_layers, tgt_gmaps, maps,
-               homotopies=None):
-    """Ladder map between zigzag totals from layer maps and homotopies.
-
-    maps[k]: src_layers[k] -> tgt_layers[k]; homotopies[e] bounds the defect
-    of ladder square e, [d, H_e] = maps[t] g_e - g'_e maps[s] where (s, t)
-    are the ends of edge e.  Every square is re-verified; the assembled map
-    Phi has the layer maps on the diagonal and the square homotopies in the
-    cross positions.  Returns (Phi, equivalence verdict for Phi)."""
-    L = len(src_layers)
-    ring = src_layers[0].alg.ring
-    if homotopies is None:
-        homotopies = [None] * len(src_gmaps)
-    Hs = []
-    for k in range(len(src_gmaps)):
-        s, t = _cross_ends(k)
-        H = homotopies[k]
-        if H is None:
-            H = Homotopy(src_layers[s], tgt_layers[t], -1, {})
-        rhs = maps[t].compose(src_gmaps[k]) - tgt_gmaps[k].compose(maps[s])
-        _require_equation(H, rhs, f"ladder square {k}")
-        Hs.append(H)
-    Tsrc = zigzag_tot(src_layers, src_gmaps)
-    Ttgt = zigzag_tot(tgt_layers, tgt_gmaps)
-
-    def offs(layers, n):
-        out, off = [], 0
-        for k, Lc in enumerate(layers):
-            d = Lc.term(n + (1 if k % 2 else 0)).dim
-            out.append((off, d))
-            off += d
-        return out
-
-    zr = ring.zero()
-    comps = {}
-    for n in range(Tsrc.min_deg, Tsrc.max_deg + 1):
-        rows, cols = Ttgt.term(n).dim, Tsrc.term(n).dim
-        if rows == 0 or cols == 0:
-            continue
-        so = offs(src_layers, n)
-        to = offs(tgt_layers, n)
-        e = [zr] * (rows * cols)
-
-        def put(M, ro, co):
-            for r in range(M.rows):
-                for c in range(M.cols):
-                    v = M[r, c]
-                    if v != zr:
-                        e[(ro + r) * cols + (co + c)] = v
-
-        for k in range(L):
-            put(maps[k].comp(n + (1 if k % 2 else 0)), to[k][0], so[k][0])
-        for k in range(len(src_gmaps)):
-            s, t = _cross_ends(k)
-            put(Hs[k].comp(n + 1), to[t][0], so[s][0])
-        comps[n] = Matrix(ring, rows, cols, e, _trusted=True)
-    phi = ChainMap(Tsrc, Ttgt, 0, comps)
-    return phi, equivalence_verdict(phi)
-
-
-def _zigzag_cone_data(layers, gmaps):
-    """Total complex of a zigzag, the assembled map from the sum of the odd
-    layers to the sum of the even layers, and the strict permutation
-    isomorphisms between the total and the cone of that map."""
-    L = len(layers)
-    ring = layers[0].alg.ring
-    odd = [k for k in range(L) if k % 2]
-    even = [k for k in range(L) if k % 2 == 0]
-    oparts = [layers[k] for k in odd]
-    eparts = [layers[k] for k in even]
-    S = _fold_sum(oparts)
-    T = _fold_sum(eparts)
-    ghat = zero_map(S, T)
-    for k, g in enumerate(gmaps):
-        s, t = _cross_ends(k)
-        ghat = ghat + _summand_incl(eparts, T, even.index(t)).compose(
-            g).compose(_summand_proj(oparts, S, odd.index(s)))
-    ghat = ChainMap(S, T, 0, dict(ghat.comps))
-    totc = zigzag_tot(layers, gmaps)
-    C = cone(ghat)
-    zr = ring.zero()
-    pcomps, qcomps = {}, {}
-    for n in range(totc.min_deg, totc.max_deg + 1):
-        cdim, tdim = C.term(n).dim, totc.term(n).dim
-        if cdim == 0 or tdim == 0:
-            continue
-        ooffs, sdim = _sum_offsets(oparts, n + 1)
-        eoffs, _ = _sum_offsets(eparts, n)
-        pe = [zr] * (cdim * tdim)
-        qe = [zr] * (tdim * cdim)
-        off = 0
-        for k in range(L):
-            d = layers[k].term(n + (1 if k % 2 else 0)).dim
-            if k % 2:
-                base = ooffs[odd.index(k)]
-            else:
-                base = sdim + eoffs[even.index(k)]
-            for r in range(d):
-                pe[(base + r) * tdim + (off + r)] = ring.one()
-                qe[(off + r) * cdim + (base + r)] = ring.one()
-            off += d
-        pcomps[n] = Matrix(ring, cdim, tdim, pe, _trusted=True)
-        qcomps[n] = Matrix(ring, tdim, cdim, qe, _trusted=True)
-    P = ChainMap(totc, C, 0, pcomps)
-    Q = ChainMap(C, totc, 0, qcomps)
-    return totc, ghat, P, Q
-
-
-def _touching_cross(m, ncross):
-    """Some zigzag edge having layer m as an end of matching parity."""
-    for k in ((m - 1, m) if m % 2 else (m, m - 1)):
-        if 0 <= k < ncross:
-            return k
-    raise ValueError(f"layer {m} touches no edge")
-
-
-def zigzag_commute(f_layers, f_gmaps, g_layers, g_gmaps, certificates):
-    """Commute the total of one zigzag past the total of another.
-
-    certificates maps (i, j) -> the secondary certificate for the pair of
-    edge maps (f_gmaps[i], g_gmaps[j]); every pair must be on file and every
-    certificate is re-verified.  The equivalence is constructed on the cone
-    presentations of the totals: the layer sums are assembled, the pairwise
-    h/k homotopies are scattered into block form, and the cone commutation
-    equivalence is conjugated back through the strict permutation
-    isomorphisms between totals and cones."""
-    for i in range(len(f_gmaps)):
-        for j in range(len(g_gmaps)):
-            if certificates.get((i, j)) is None:
-                raise MissingCertificate(
-                    f"no commutation certificate for edge pair ({i}, {j})")
-            certificates[(i, j)].reverify(strict=True)
-    if len(f_gmaps) == 1 and len(g_gmaps) == 1:
-        return cones_commute_equivalence(f_gmaps[0], g_gmaps[0],
-                                         certificates[(0, 0)])
-    totf, fhat, Pf, Qf = _zigzag_cone_data(f_layers, f_gmaps)
-    totg, ghat, Pg, Qg = _zigzag_cone_data(g_layers, g_gmaps)
-    fodd = [k for k in range(len(f_layers)) if k % 2]
-    feven = [k for k in range(len(f_layers)) if k % 2 == 0]
-    godd = [k for k in range(len(g_layers)) if k % 2]
-    geven = [k for k in range(len(g_layers)) if k % 2 == 0]
-    Fp = [[f_layers[k] for k in fodd], [f_layers[k] for k in feven]]
-    Gp = [[g_layers[k] for k in godd], [g_layers[k] for k in geven]]
-    Fidx = [fodd, feven]
-    Gidx = [godd, geven]
-    F = [fhat.src, fhat.tgt]
-    G = [ghat.src, ghat.tgt]
-    hs, ks = [], []
-    for i in (0, 1):
-        acc = zero_map(tensor(G[i], F[0]), tensor(F[1], G[i]), degree=-1)
-        for ic in range(len(f_gmaps)):
-            fs, ft = _cross_ends(ic)
-            for mpos, m in enumerate(Gidx[i]):
-                jc = _touching_cross(m, len(g_gmaps))
-                h = certificates[(ic, jc)].get("h0" if m % 2 else "h1")
-                acc = acc + tensor_maps(
-                    _summand_incl(Fp[1], F[1], feven.index(ft)),
-                    _summand_incl(Gp[i], G[i], mpos)).compose(h).compose(
-                    tensor_maps(_summand_proj(Gp[i], G[i], mpos),
-                                _summand_proj(Fp[0], F[0], fodd.index(fs))))
-        hs.append(Homotopy(acc.src, acc.tgt, -1, dict(acc.comps)))
-    for i in (0, 1):
-        acc = zero_map(tensor(G[0], F[i]), tensor(F[i], G[1]), degree=-1)
-        for jc in range(len(g_gmaps)):
-            gs, gt = _cross_ends(jc)
-            for mpos, m in enumerate(Fidx[i]):
-                ic = _touching_cross(m, len(f_gmaps))
-                k = certificates[(ic, jc)].get("k0" if m % 2 else "k1")
-                acc = acc + tensor_maps(
-                    _summand_incl(Fp[i], F[i], mpos),
-                    _summand_incl(Gp[1], G[1], geven.index(gt))).compose(
-                    k).compose(
-                    tensor_maps(_summand_proj(Gp[0], G[0], godd.index(gs)),
-                                _summand_proj(Fp[i], F[i], mpos)))
-        ks.append(Homotopy(acc.src, acc.tgt, -1, dict(acc.comps)))
-    cert, v = secondary_certificate(fhat, ghat, hs, ks,
-                                    subject=("tot(f)", "tot(g)"))
-    if not v.passed:
-        return v
-    psi = _cones_commute_psi(fhat, ghat, cert)
-    psi_tot = tensor_maps(Qf, Qg).compose(psi).compose(tensor_maps(Pg, Pf))
-    psi_tot = ChainMap(psi_tot.src, psi_tot.tgt, 0, dict(psi_tot.comps))
-    return equivalence_verdict(psi_tot)
 
 
 # -- certificate serialization -------------------------------------------------

@@ -116,11 +116,16 @@ class TestExitCodes:
         assert report_exit_code(rep) == 0
 
 
+def checkout_env():
+    """The environment that makes a fresh interpreter import this checkout's
+    homocat."""
+    src = str(Path(homocat.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def run_python(*args):
     """Run the interpreter on this checkout's homocat in a fresh process."""
-    src = str(Path(homocat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, *args], env=env,
+    return subprocess.run([sys.executable, *args], env=checkout_env(),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -143,6 +148,21 @@ def test_bad_cyclic_configuration_exits_3(tmp_path, args, scenario):
     assert proc.returncode == 3
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_closed_output_pipe_ends_without_traceback():
+    """`homocat demo integers | head -2`: the reader is gone before the
+    report is written.  The CLI still exits with the report's code and
+    writes nothing to stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "homocat.cli", "demo", "integers"],
+        env=checkout_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == ""
 
 
 class TestObstructionsSubcommand:

@@ -3,26 +3,18 @@ import pytest
 from homocat.exactlinalg import PrimeField
 from homocat.modulecat import trivial_module, regular_module
 from homocat.complexes import (
-    atom, shift, tensor, cone, PASS, FAIL,
+    atom, shift, cone, PASS, FAIL,
 )
-from homocat.convolutions import Poset, TwistedComplex
 from homocat.eigen import Eigenmap, ScalarShift
 from homocat.interpolation import TruncationWindow, build_P
 from homocat.diagonalize import (
-    CommutationUncertified,
     verify_orthogonality, verify_idempotence,
     verify_decomposition_of_identity, tightness_spot_check,
-    compare_idempotents, subquotient_idempotent, refine_decompositions,
 )
 
 from test_complexes import worked_example
 
 F2 = PrimeField(2)
-
-
-class _Cert:
-    def __init__(self, passed=True):
-        self.passed = passed
 
 
 @pytest.fixture(scope="module")
@@ -102,75 +94,3 @@ class TestTightness:
         v = tightness_spot_check([ea, eb], [Pb, Pa], [atom(A), atom(one)])
         assert v.status == FAIL
         assert "biconditional" in v.reason
-
-
-class TestCompareIdempotents:
-    def test_projector_below_unit(self, setup):
-        _, _, one, _, _, _, Pb = setup
-        assert compare_idempotents(Pb, atom(one)) == "<="
-        assert compare_idempotents(atom(one), Pb) == ">="
-
-    def test_orthogonal_pair_incomparable(self, setup):
-        _, _, _, _, _, Pa, Pb = setup
-        assert compare_idempotents(Pa, Pb) == "incomparable"
-
-    def test_reflexive(self, setup):
-        _, _, _, _, _, Pa, _ = setup
-        assert compare_idempotents(Pa, Pa) == "equal"
-
-
-class TestSubquotientIdempotents:
-    def test_singleton_is_the_layer(self, witness):
-        pk, v = subquotient_idempotent(witness, [0], edge=4)
-        assert v.status == PASS
-        assert pk == witness.layers[0]
-
-    def test_full_subset_is_the_total(self, witness):
-        pk, v = subquotient_idempotent(witness, [0, 1], edge=4)
-        assert v.status == PASS
-        assert pk.min_deg == min(c.min_deg for c in witness.layers.values())
-
-    def test_empty_subset_is_zero(self, witness):
-        pk, v = subquotient_idempotent(witness, [], edge=4)
-        assert v.status == PASS
-        assert pk.is_zero()
-
-    def test_non_orthogonal_family_fails_intersection_law(self, setup):
-        _, _, one, _, _, _, _ = setup
-        bad = TwistedComplex(Poset([0, 1], {(1, 0)}),
-                             {0: atom(one), 1: shift(atom(one), -1)}, {})
-        _, v = subquotient_idempotent(bad, [0])
-        assert v.status == FAIL
-        assert "intersection" in v.reason
-
-
-class TestRefinement:
-    def test_self_refinement(self, witness):
-        certs = {(i, j): _Cert() for i in (0, 1) for j in (0, 1)}
-        rt, v = refine_decompositions(witness, witness, certs, edge=4)
-        assert v.status == PASS
-        assert sorted(rt.poset.elements) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_single_layer_refiner_is_identity(self, setup, witness):
-        _, _, one, _, _, _, _ = setup
-        single = TwistedComplex(Poset([0], set()), {0: atom(one)}, {})
-        rt, v = refine_decompositions(witness, single)
-        assert v.status == PASS
-        assert rt is witness
-
-    def test_missing_certificate_raises(self, witness):
-        with pytest.raises(CommutationUncertified):
-            refine_decompositions(witness, witness, {(0, 0): _Cert()})
-        with pytest.raises(CommutationUncertified):
-            refine_decompositions(
-                witness, witness,
-                {(i, j): _Cert(i == 0 and j == 0) for i in (0, 1)
-                 for j in (0, 1)})
-
-
-class TestProductStructure:
-    def test_refined_layers_are_tensor_products(self, witness):
-        certs = {(i, j): _Cert() for i in (0, 1) for j in (0, 1)}
-        rt, _ = refine_decompositions(witness, witness, certs, edge=4)
-        for (i, j), layer in rt.layers.items():
-            assert layer == tensor(witness.layers[i], witness.layers[j])
