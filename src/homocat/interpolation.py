@@ -7,16 +7,20 @@ from .modulecat import trivial_module
 from .complexes import (
     ChainMap, Verdict, PASS, FAIL, INCONCLUSIVE,
     atom, zero_complex, shift, direct_sum, tensor, tensor_layout, tensor_maps,
-    cone, homology, identity_map, solve_null_homotopy, restrict, restrict_map,
-    equivalent, complex_to_json, complex_from_json,
+    cone, homology, identity_map, solve_null_homotopy, homotopy_inverse,
+    restrict, restrict_map, equivalent, complex_to_json, complex_from_json,
 )
 from .convolutions import (
     Poset, TwistedComplex, tot, zigzag_tot, NotAChainMap, CurvatureViolation,
 )
-from .eigen import Eigenmap, ScalarShift
+from .eigen import Eigenmap, ScalarShift, is_eigenobject
 
 
 class SmallnessViolated(Exception):
+    pass
+
+
+class NotAnEigenobject(Exception):
     pass
 
 
@@ -50,6 +54,11 @@ class TruncationWindow:
 
     def __repr__(self):
         return f"TruncationWindow(depth={self.depth}, edge={self.edge})"
+
+
+def default_window(f):
+    """Depth 12, edge twice the length of the operator complex plus two."""
+    return TruncationWindow(12, 2 * (f.max_deg - f.min_deg + 1) + 2)
 
 
 EMPTY_WINDOW = "stable window is empty"
@@ -783,6 +792,22 @@ def _tensor_compare(a1, a2, p1, p2, perm1, perm2, actual, predicted):
 
 
 # -- eigen action ---------------------------------------------------------
+
+def rho(a_num, a_den, m):
+    """Quotient action of one eigenmap by another on a genuine eigenobject:
+    invert the denominator action up to homotopy, compose with the
+    numerator action."""
+    v = is_eigenobject(a_den, m)
+    if not v.passed:
+        raise NotAnEigenobject(
+            f"not an eigenobject for the denominator: {v.reason}")
+    f = tensor_maps(a_den.map, identity_map(m))
+    hv = homotopy_inverse(f)
+    if not hv.passed:
+        raise NotAnEigenobject("denominator action has no homotopy inverse")
+    psi = hv.witness[0]
+    return psi.compose(tensor_maps(a_num.map, identity_map(m)))
+
 
 def verify_eigenaction(maps, i, w, certificates=None,
                        direction=DEFAULT_DIRECTION, j=None, flip=False,

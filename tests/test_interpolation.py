@@ -11,13 +11,13 @@ from homocat.complexes import (
 )
 from homocat.eigen import Eigenmap, ScalarShift
 from homocat.interpolation import (
-    SmallnessViolated,
-    TruncationWindow, window_bounds, window_restrict,
+    SmallnessViolated, NotAnEigenobject,
+    TruncationWindow, default_window, window_bounds, window_restrict,
     TruncatedPeriodic, truncated_to_json, truncated_from_json,
     build_Cab, build_Cba, periodicity_map, head_projection, canonical_map,
     triangle_check, partial_map, verify_compact_description,
     build_K, quasi_idempotent_check, build_P, verify_P_koszul,
-    verify_eigenaction,
+    rho, verify_eigenaction,
 )
 
 from test_complexes import worked_example
@@ -57,6 +57,12 @@ def zero_eigenmap(alg, F, n):
 
 
 class TestWindow:
+    def test_default_window(self):
+        alg, A, one, F, ea, eb = eigenmaps(F2)
+        w = default_window(F)
+        assert w.depth == 12
+        assert w.edge == 2 * 3 + 2
+
     def test_bounds_both_directions(self):
         alg, A, one, F, ea, eb = eigenmaps(F2)
         w = TruncationWindow(3, 2)
@@ -330,6 +336,33 @@ class TestProjectors:
         g2 = zero_eigenmap(alg, F, 2)
         with pytest.raises(NotImplementedError):
             verify_P_koszul([g, eb, ea, g2], 1, TruncationWindow(2, 4))
+
+
+class TestQuotientAction:
+    def test_action_of_a_map_by_itself_is_the_identity(self):
+        alg, A, one, F, ea, eb = eigenmaps(F2)
+        r = rho(ea, ea, atom(A))
+        assert list(r.comps) == [0]
+        assert r.comps[0].is_identity()
+
+    def test_cross_action_on_the_regular_module(self):
+        # the degree-shifted action factors through the unit summand, where
+        # the canonical homotopy inverse vanishes
+        for ring in (F2, Q):
+            alg, A, one, F, ea, eb = eigenmaps(ring)
+            r = rho(eb, ea, atom(A))
+            assert (r.src.min_deg, r.src.max_deg) == (2, 2)
+            assert r.is_zero()
+
+    def test_zero_numerator_acts_by_zero(self):
+        alg, A, one, F, ea, eb = eigenmaps(F2)
+        r = rho(zero_eigenmap(alg, F, -2), ea, atom(A))
+        assert r.is_zero()
+
+    def test_non_eigenobject_is_rejected(self):
+        alg, A, one, F, ea, eb = eigenmaps(F2)
+        with pytest.raises(NotAnEigenobject):
+            rho(ea, eb, atom(A))
 
 
 class TestEigenaction:

@@ -19,7 +19,6 @@ KEEP = {
         "test_convolutions)",
     "complexes.hom_complex":
         "the reference of test_rank_matches_hom_complex_cycles",
-    "complexes.homotopy_inverse": "perfbench/tracer.py LAYERS names it",
     "exactlinalg.hnf": "perfbench/tracer.py LAYERS names it",
     "convolutions.simplify_layers": "ROADMAP item 9 decides it",
     "interpolation.triangle_check": "ROADMAP item 11 decides it",
@@ -32,6 +31,12 @@ KEEP = {
     "interpolation.truncated_from_json": "witness export, ROADMAP item 3",
     "obstructions.certificate_to_json": "witness export, ROADMAP item 3",
     "obstructions.certificate_from_json": "witness export, ROADMAP item 3",
+    "diagonalize.compare_idempotents":
+        "ROADMAP item 5: left for a later deletion with its tests",
+    "interpolation.default_window":
+        "ROADMAP item 5: left for a later deletion with its tests",
+    "interpolation.rho":
+        "ROADMAP item 5: left for a later deletion with its tests",
 }
 
 
