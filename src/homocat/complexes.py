@@ -13,7 +13,7 @@ from .exactlinalg import (
 )
 from .modulecat import (
     AlgebraPresentation, Module, decompose, direct_sum_modules,
-    tensor_modules, hom_basis, zero_module,
+    tensor_modules, hom_basis, zero_module, orbits, is_local,
 )
 
 
@@ -156,7 +156,8 @@ def tensor_layout(c1, c2, n):
     """Block layout of (c1 (x) c2) in degree n: [(i, j, offset, dim)]."""
     out = []
     off = 0
-    for i in c1.degrees():
+    for i in range(max(c1.min_deg, n - c2.max_deg),
+                   min(c1.max_deg, n - c2.min_deg) + 1):
         j = n - i
         d = c1.term(i).dim * c2.term(j).dim
         if d:
@@ -175,31 +176,23 @@ def tensor(c1, c2):
         return zero_complex(alg)
     lo = c1.min_deg + c2.min_deg
     hi = c1.max_deg + c2.max_deg
-    terms = []
-    for n in range(lo, hi + 1):
-        t = zero_module(alg)
-        for (i, j, _, _) in tensor_layout(c1, c2, n):
-            t = direct_sum_modules(t, tensor_modules(c1.term(i), c2.term(j)))
-        terms.append(t)
+    lays = [tensor_layout(c1, c2, n) for n in range(lo, hi + 1)]
+    terms = [direct_sum_modules(*(tensor_modules(c1.term(i), c2.term(j))
+                                  for (i, j, _, _) in lay))
+             if lay else zero_module(alg) for lay in lays]
     diffs = []
-    for n in range(lo, hi):
-        src = tensor_layout(c1, c2, n)
-        tgt = tensor_layout(c1, c2, n + 1)
-        tpos = {(i, j): (off, dim) for (i, j, off, dim) in tgt}
+    for src, tgt in zip(lays, lays[1:]):
+        tidx = {(i, j): k for k, (i, j, _, _) in enumerate(tgt)}
         dmat = [[None] * len(src) for _ in range(len(tgt))]
-        for sidx, (i, j, soff, sdim) in enumerate(src):
+        for sidx, (i, j, _, _) in enumerate(src):
             # d1 (x) id : block (i, j) -> (i + 1, j)
-            if (i + 1, j) in tpos:
-                blkm = c1.diff(i).kron(Matrix.identity(ring, c2.term(j).dim))
-                tidx = [k for k, t in enumerate(tgt) if (t[0], t[1]) == (i + 1, j)][0]
-                dmat[tidx][sidx] = blkm
+            if (i + 1, j) in tidx:
+                dmat[tidx[i + 1, j]][sidx] = c1.diff(i).kron(
+                    Matrix.identity(ring, c2.term(j).dim))
             # (-1)^i id (x) d2 : block (i, j) -> (i, j + 1)
-            if (i, j + 1) in tpos:
+            if (i, j + 1) in tidx:
                 blkm = Matrix.identity(ring, c1.term(i).dim).kron(c2.diff(j))
-                if i % 2:
-                    blkm = -blkm
-                tidx = [k for k, t in enumerate(tgt) if (t[0], t[1]) == (i, j + 1)][0]
-                dmat[tidx][sidx] = blkm
+                dmat[tidx[i, j + 1]][sidx] = -blkm if i % 2 else blkm
         diffs.append(_stack(ring, dmat, [t[3] for t in tgt],
                             [s[3] for s in src]))
     return Complex(alg, lo, terms, diffs, check=False)
@@ -462,6 +455,11 @@ class _Unknowns:
 
     groups: list of (name, src, tgt, degree).  Each basis element of each
     component is one column; columns are ordered by group, then degree.
+
+    An equation (rows, src, terms, rhs) says that the sum over its terms
+    (name, d, left, right) of left * (component d of the unknown name) *
+    right, a rows x src.dim matrix, equals rhs (None for zero); a left or
+    right of None is the identity.  Empty equations are dropped.
     """
 
     def __init__(self, ring, groups):
@@ -477,24 +475,32 @@ class _Unknowns:
             self.groups[name] = (src, tgt, degree, cols)
         self.ncols = n
 
-    def system(self, equations):
+    def system(self, equations, every_column=False):
         """(A, b) stacking the equations in order.
 
-        An equation (rows, cols, terms, rhs) says that the sum over its terms
-        (name, d, fn) of fn(component d of the unknown name), a rows x cols
-        matrix, equals rhs (None for zero); fn must be linear.  Empty
-        equations are dropped.
+        When src is a permutation module, an equation is imposed only on
+        the first column of each x-orbit: x^k e_j is a basis vector, and
+        when both sides are A-linear they agree on it once they agree on
+        e_j.  With every_column, or for other modules, every column is.
         """
         p = self.ring.p
         a, b = [], []
-        for rows, cols, terms, rhs in equations:
-            eqs = [{} for _ in range(rows * cols)]
-            for name, d, fn in terms:
+        for rows, src, terms, rhs in equations:
+            orbs = None if every_column else orbits(src)
+            cols = range(src.dim) if orbs is None else [o[0] for o in orbs]
+            width = len(cols)
+            eqs = [{} for _ in range(rows * width)]
+            for name, d, left, right in terms:
                 off, basis = self.groups[name][3].get(d, (0, ()))
+                if basis and right is not None:
+                    right = _cols(right, cols)
                 for col, bm in enumerate(basis, off):
-                    for r, row in enumerate(fn(bm).data):
+                    m = _cols(bm, cols) if right is None else bm * right
+                    if left is not None:
+                        m = left * m
+                    for r, row in enumerate(m.data):
                         for c, v in row.items():
-                            eq = eqs[r * cols + c]
+                            eq = eqs[r * width + c]
                             w = eq.get(col, 0) + v
                             if p:
                                 w %= p
@@ -505,9 +511,46 @@ class _Unknowns:
             a.extend(eqs)
             b.extend({0: row[c]} if c in row else {}
                      for row in (rhs.data if rhs is not None else ({},) * rows)
-                     for c in range(cols))
+                     for c in cols)
         return (Matrix._of(self.ring, len(a), self.ncols, a),
                 Matrix._of(self.ring, len(b), 1, b))
+
+    def holds(self, equations, comps):
+        """Whether every equation holds on every column when the unknowns
+        have the components comps ({name: {degree: Matrix}})."""
+        for rows, src, terms, rhs in equations:
+            acc = Matrix.zeros(self.ring, rows, src.dim) if rhs is None \
+                else -rhs
+            for name, d, left, right in terms:
+                m = comps[name].get(d)
+                if m is not None:
+                    if right is not None:
+                        m = m * right
+                    acc = acc + (m if left is None else left * m)
+            if not acc.is_zero():
+                return False
+        return True
+
+    def solve(self, equations, null_space=False):
+        """Solutions as components {name: {degree: Matrix}}: one particular
+        solution, or None if there is none; with null_space, a list forming
+        a basis of the solutions of the homogeneous equations.
+
+        Every solution is checked on every column of every equation before
+        it is returned, so none rests on the rows of system() alone.  If the
+        check fails (an equation that is not A-linear, whose first orbit
+        columns do not speak for the rest), every column is imposed."""
+        equations = list(equations)
+        for every_column in (False, True):
+            A, b = self.system(equations, every_column)
+            x = kernel(A) if null_space else solve(A, b)
+            if x is None:
+                return None
+            sols = [{name: self.comps(name, x, j) for name in self.groups}
+                    for j in range(x.cols)]
+            if all(self.holds(equations, sol) for sol in sols):
+                return sols if null_space else sols[0]
+        raise AssertionError("exact solve returned a bad solution")
 
     def comps(self, name, x, j=0):
         """Components {degree: Matrix} given by column j of x."""
@@ -544,22 +587,16 @@ def solve_null_homotopy(f, equation_degrees=None):
     hdeg = k - 1
     sgn = ring.coerce(-1 if hdeg % 2 == 0 else 1)  # -(-1)^{|h|}
     u = _Unknowns(ring, [("h", src, tgt, hdeg)])
-    A, rhs = u.system(
-        (tgt.term(d + k).dim, src.term(d).dim,
-         [("h", d, lambda b, dt=tgt.diff(d + hdeg): dt * b),
-          ("h", d + 1, lambda b, ds=src.diff(d): (b * ds).scale(sgn))],
+    sol = u.solve(
+        (tgt.term(d + k).dim, src.term(d),
+         [("h", d, tgt.diff(d + hdeg), None),
+          ("h", d + 1, None, src.diff(d).scale(sgn))],
          f.comp(d))
         for d in range(src.min_deg - 1, src.max_deg + 2)
         if _in_window(d, equation_degrees))
-    if not A.rows:
-        return Verdict(PASS, witness=Homotopy(src, tgt, hdeg, {}))
-    part = solve(A, rhs)
-    if part is None:
+    if sol is None:
         return Verdict(FAIL, reason="no null-homotopy exists")
-    h = Homotopy(src, tgt, hdeg, u.comps("h", part))
-    if equation_degrees is None:
-        assert maps_equal(bracket(h), f), "solver returned a bad homotopy"
-    return Verdict(PASS, witness=h)
+    return Verdict(PASS, witness=Homotopy(src, tgt, hdeg, sol["h"]))
 
 
 def is_contractible(c, equation_degrees=None):
@@ -588,36 +625,31 @@ def homotopy_inverse(f, equation_degrees=None):
             continue
         fd = f.comp(d)
         # chain condition: d_C psi_d - psi_{d+1} d_D = 0
-        eqs.append((C.term(d + 1).dim, D.term(d).dim,
-                    [("psi", d, lambda b, dc=C.diff(d): dc * b),
-                     ("psi", d + 1, lambda b, dd=D.diff(d): -(b * dd))],
+        eqs.append((C.term(d + 1).dim, D.term(d),
+                    [("psi", d, C.diff(d), None),
+                     ("psi", d + 1, None, -D.diff(d))],
                     None))
         # psi f - [d, h] = id_C  (h odd: [d,h] = d h + h d)
         r = C.term(d).dim
-        eqs.append((r, r,
-                    [("psi", d, lambda b, fd=fd: b * fd),
-                     ("h", d, lambda b, dc=C.diff(d - 1): -(dc * b)),
-                     ("h", d + 1, lambda b, dc=C.diff(d): -(b * dc))],
+        eqs.append((r, C.term(d),
+                    [("psi", d, None, fd),
+                     ("h", d, -C.diff(d - 1), None),
+                     ("h", d + 1, None, -C.diff(d))],
                     Matrix.identity(ring, r)))
         # f psi - [d, h'] = id_D
         r = D.term(d).dim
-        eqs.append((r, r,
-                    [("psi", d, lambda b, fd=fd: fd * b),
-                     ("hp", d, lambda b, dd=D.diff(d - 1): -(dd * b)),
-                     ("hp", d + 1, lambda b, dd=D.diff(d): -(b * dd))],
+        eqs.append((r, D.term(d),
+                    [("psi", d, fd, None),
+                     ("hp", d, -D.diff(d - 1), None),
+                     ("hp", d + 1, None, -D.diff(d))],
                     Matrix.identity(ring, r)))
-    A, rhs = u.system(eqs)
-    if not A.rows:
-        return Verdict(PASS, witness=(zero_map(D, C), Homotopy(C, C, -1, {}),
-                                      Homotopy(D, D, -1, {})))
-    part = solve(A, rhs)
-    if part is None:
+    sol = u.solve(eqs)
+    if sol is None:
         return Verdict(FAIL, reason="no homotopy inverse")
-    psi = ChainMap(D, C, 0, u.comps("psi", part),
-                   check=(equation_degrees is None))
-    h = Homotopy(C, C, -1, u.comps("h", part))
-    hp = Homotopy(D, D, -1, u.comps("hp", part))
-    return Verdict(PASS, witness=(psi, h, hp))
+    # the closing check of u.solve covered the chain condition of psi
+    return Verdict(PASS, witness=(ChainMap(D, C, 0, sol["psi"], check=False),
+                                  Homotopy(C, C, -1, sol["h"]),
+                                  Homotopy(D, D, -1, sol["hp"])))
 
 
 # -- restriction (windows) -------------------------------------------------------
@@ -665,22 +697,27 @@ def split_complex(c):
     blocks = {}
     basis = {}
     binv = {}
+    perm = {}  # a permutation basis conjugates by re-indexing
     for d in c.degrees():
         n = c.term(d).dim
         if ring.is_field:
             dec = decompose(c.term(d))
             blocks[d] = [(t, t.dim) for t in dec.tags]
-            basis[d], binv[d] = dec.basis, dec.inverse
+            basis[d], binv[d], perm[d] = dec.basis, dec.inverse, dec.perm
         else:
             blocks[d] = [(None, 1)] * n
             basis[d] = binv[d] = Matrix.identity(ring, n)
-    terms = []
-    diffs = []
-    for d in c.degrees():
-        xa = binv[d] * c.term(d).x_action * basis[d]
-        terms.append(Module(c.alg, c.term(d).dim, xa, check=False))
-    for d in range(c.min_deg, c.max_deg):
-        diffs.append(binv[d + 1] * c.diff(d) * basis[d])
+            perm[d] = range(n)
+
+    def conjugate(m, dt, ds):
+        if perm[dt] is not None and perm[ds] is not None:
+            return m.submatrix(perm[dt], perm[ds])
+        return binv[dt] * m * basis[ds]
+
+    terms = [Module(c.alg, c.term(d).dim, conjugate(c.term(d).x_action, d, d),
+                    check=False) for d in c.degrees()]
+    diffs = [conjugate(c.diff(d), d + 1, d)
+             for d in range(c.min_deg, c.max_deg)]
     conj = Complex(c.alg, c.min_deg, terms, diffs, check=False)
     to_orig = ChainMap(conj, c, 0, basis, check=False)
     from_orig = ChainMap(c, conj, 0, binv, check=False)
@@ -698,6 +735,14 @@ def _is_invertible(m):
     for i in range(m.rows):
         prod *= d[i, i]
     return prod in (1, -1)
+
+
+def _unit_at_one(ring, first_col):
+    """Whether an intertwiner between two (x - 1)^s summands over F_p, in
+    their companion bases, is invertible.  It is multiplication by some g
+    in the local ring k[x]/(x - 1)^s, whose coefficients are its first
+    column, so it is a unit exactly when g(1), their sum, is nonzero."""
+    return sum(first_col) % ring.p != 0
 
 
 class MinimizeResult:
@@ -744,18 +789,21 @@ def minimize(c, retract=True):
     first invertible block pair (lexicographic; only nonzero blocks between
     equal tags, since an invertible intertwiner joins isomorphic summands)
     is cancelled, d_d becomes its Schur complement, and the search in d
-    starts again.  Within a degree rows and columns keep their indices, so a
-    cancellation rewrites only the rows with an entry in the cancelled
-    columns; the cancelled rows and columns are dropped once the degree is
-    done.  Cancelling in degree d only deletes rows of d_{d-1}, so a
-    finished degree never gains an invertible pair.  With retract=False the
-    retract data is not accumulated (incl, proj and h come back as None);
-    it is the larger part of the cost on large complexes, so callers that
-    only need the minimal model should opt out.
+    starts again.  Over F_p with p = (x - 1)^m, blocks that fail
+    _unit_at_one are not solved for an inverse.  Within a degree rows and
+    columns keep their indices, so a cancellation rewrites only the rows
+    with an entry in the cancelled columns; the cancelled rows and columns
+    are dropped once the degree is done.  Cancelling in degree d only
+    deletes rows of d_{d-1}, so a finished degree never gains an invertible
+    pair.  With retract=False the retract data is not accumulated (incl,
+    proj and h come back as None); it is the larger part of the cost on
+    large complexes, so callers that only need the minimal model should opt
+    out.
     """
     sp = split_complex(c)
     lo = c.min_deg
     ring = c.alg.ring
+    unit_test = ring.kind == "fp" and is_local(c.alg)
     xs = [t.x_action for t in sp.conj.terms]
     diffs = list(sp.conj.diffs)
     blocks = [list(sp.blocks[d]) for d in c.degrees()]
@@ -786,11 +834,14 @@ def minimize(c, retract=True):
             for si, (stag, s) in enumerate(src):
                 if alive[0][si]:
                     for ti in sorted({owner[r] for j in s for r in at[j]}):
-                        if tgt[ti][0] == stag:
-                            ainv = solve(block(tgt[ti][1], s),
-                                         Matrix.identity(ring, len(s)))
-                            if ainv is not None:
-                                return si, ti, ainv
+                        ttag, t = tgt[ti]
+                        if ttag != stag or unit_test and not _unit_at_one(
+                                ring, (rows[r].get(s.start, 0) for r in t)):
+                            continue
+                        ainv = solve(block(t, s),
+                                     Matrix.identity(ring, len(s)))
+                        if ainv is not None:
+                            return si, ti, ainv
             return None
 
         while (pair := first_invertible_pair()) is not None:
@@ -855,35 +906,22 @@ def chain_map_space(src, tgt, degree=0):
     """Basis of the space/lattice of degree-k chain maps src -> tgt."""
     ring = src.alg.ring
     u = _Unknowns(ring, [("f", src, tgt, degree)])
-    if u.ncols == 0:
-        return []
     sgn = ring.coerce(-1 if degree % 2 == 0 else 1)  # -(-1)^k
-    A, _ = u.system(
-        (tgt.term(d + degree + 1).dim, src.term(d).dim,
-         [("f", d, lambda b, dt=tgt.diff(d + degree): dt * b),
-          ("f", d + 1, lambda b, ds=src.diff(d): (b * ds).scale(sgn))],
-         None)
-        for d in range(src.min_deg - 1, src.max_deg + 2))
-    kb = kernel(A) if A.rows else Matrix.identity(ring, u.ncols)
-    return [ChainMap(src, tgt, degree, u.comps("f", kb, j), check=False)
-            for j in range(kb.cols)]
+    sols = u.solve(
+        ((tgt.term(d + degree + 1).dim, src.term(d),
+          [("f", d, tgt.diff(d + degree), None),
+           ("f", d + 1, None, src.diff(d).scale(sgn))],
+          None)
+         for d in range(src.min_deg - 1, src.max_deg + 2)),
+        null_space=True)
+    return [ChainMap(src, tgt, degree, sol["f"], check=False)
+            for sol in sols]
 
 
 def _graded_tag_multisets(mr):
     return {d: sorted(t.sort_key() if t is not None else ((1,), (), 1)
                       for t in tags)
             for d, tags in mr.blocks.items()}
-
-
-def _iso_per_degree(f):
-    degs = set(f.src.degrees()) | set(f.tgt.degrees())
-    for d in degs:
-        m = f.comp(d)
-        if f.src.term(d).dim != f.tgt.term(d).dim:
-            return False
-        if f.src.term(d).dim and not _is_invertible(m):
-            return False
-    return True
 
 
 def equivalent(c1, c2, candidate=None, seed=0xC0FFEE, equation_degrees=None):
@@ -915,18 +953,21 @@ def equivalent(c1, c2, candidate=None, seed=0xC0FFEE, equation_degrees=None):
         if m1.minimal.is_zero() and m2.minimal.is_zero():
             return Verdict(PASS, witness=zero_map(c1, c2))
         return Verdict(INCONCLUSIVE, reason="no candidate chain maps")
+    degs = sorted(set(m1.minimal.degrees()) | set(m2.minimal.degrees()))
+    if any(m1.minimal.term(d).dim != m2.minimal.term(d).dim for d in degs):
+        return Verdict(INCONCLUSIVE, reason="no isomorphism found by search")
+    # a candidate is tested degree by degree, up to its first singular one
+    degs = [d for d in degs if m1.minimal.term(d).dim]
     rng = _random.Random(seed)
     n = len(space)
     tried = set()
 
-    def materialize(coeffs):
-        f = None
+    def component(coeffs, d):
+        m = Matrix.zeros(ring, m2.minimal.term(d).dim, m1.minimal.term(d).dim)
         for cf, b in zip(coeffs, space):
-            if cf == 0:
-                continue
-            t = b.scale(ring.coerce(cf))
-            f = t if f is None else f + t
-        return f
+            if cf:
+                m = m + b.comp(d).scale(ring.coerce(cf))
+        return m
 
     if ring.kind == "fp" and ring.p ** n <= 2 ** 16:
         combos = []
@@ -953,12 +994,14 @@ def equivalent(c1, c2, candidate=None, seed=0xC0FFEE, equation_degrees=None):
         if cf in tried or all(x == 0 for x in cf):
             continue
         tried.add(cf)
-        f = materialize(cf)
-        if f is None:
-            continue
-        if _iso_per_degree(f):
-            iso = m2.incl.compose(f).compose(m1.proj)
-            return Verdict(PASS, witness=iso)
+        comps = {}
+        for d in degs:
+            comps[d] = component(cf, d)
+            if not _is_invertible(comps[d]):
+                break
+        else:
+            f = ChainMap(m1.minimal, m2.minimal, 0, comps, check=False)
+            return Verdict(PASS, witness=m2.incl.compose(f).compose(m1.proj))
     return Verdict(INCONCLUSIVE, reason="no isomorphism found by search")
 
 

@@ -2,7 +2,7 @@
 by homological perturbation, and zigzag assembly."""
 
 from .exactlinalg import Matrix, _stack
-from .modulecat import direct_sum_modules, zero_module
+from .modulecat import direct_sum_modules
 from .complexes import (
     Complex, ChainMap, Homotopy, Verdict, PASS, FAIL,
     zero_complex, shift, identity_map, minimize, maps_equal,
@@ -167,14 +167,8 @@ def _assemble_tot(t, order):
     ring = alg.ring
     lo = min(t.layers[lab].min_deg for lab in nonzero)
     hi = max(t.layers[lab].max_deg for lab in nonzero)
-    terms = []
-    for d in range(lo, hi + 1):
-        m = zero_module(alg)
-        for lab in order:
-            tm = t.layers[lab].term(d)
-            if tm.dim:
-                m = direct_sum_modules(m, tm)
-        terms.append(m)
+    terms = [direct_sum_modules(*(t.layers[lab].term(d) for lab in order))
+             for d in range(lo, hi + 1)]
     diffs = []
     for d in range(lo, hi):
         slay, _ = _tot_layout(t, order, d)

@@ -5,12 +5,12 @@ from itertools import permutations, product
 
 import random
 
-from .exactlinalg import Matrix, matrix_to_json, matrix_from_json, solve
+from .exactlinalg import Matrix, matrix_to_json, matrix_from_json
 from .modulecat import trivial_module
 from .complexes import (
     Complex, ChainMap, Homotopy, Verdict, PASS, FAIL, INCONCLUSIVE,
     atom, shift, direct_sum, tensor, cone, homology,
-    is_contractible, identity_map, zero_map, minimize, maps_equal,
+    is_contractible, identity_map, minimize, maps_equal,
     bracket, _Unknowns,
 )
 from .convolutions import Poset, TwistedComplex, tot, CurvatureViolation
@@ -68,10 +68,6 @@ class Eigenmap:
         if src != want:
             raise ValueError("eigenmap source must be the unit shifted by "
                              f"{scalar.n}")
-
-    @property
-    def target(self):
-        return self.map.tgt
 
     def scale(self, c):
         return Eigenmap(self.scalar, self.map.scale(c))
@@ -380,24 +376,21 @@ def _solve_homotopy_section(f):
     for d in range(min(C.min_deg, D.min_deg) - 1,
                    max(C.max_deg, D.max_deg) + 2):
         # chain condition: d_C s_d - s_{d+1} d_D = 0
-        eqs.append((C.term(d + 1).dim, D.term(d).dim,
-                    [("s", d, lambda b, dc=C.diff(d): dc * b),
-                     ("s", d + 1, lambda b, dd=D.diff(d): -(b * dd))],
+        eqs.append((C.term(d + 1).dim, D.term(d),
+                    [("s", d, C.diff(d), None),
+                     ("s", d + 1, None, -D.diff(d))],
                     None))
         # f s - [d, k] = id_D  (k odd: [d, k] = d k + k d)
         r = D.term(d).dim
-        eqs.append((r, r,
-                    [("s", d, lambda b, fd=f.comp(d): fd * b),
-                     ("k", d, lambda b, dd=D.diff(d - 1): -(dd * b)),
-                     ("k", d + 1, lambda b, dd=D.diff(d): -(b * dd))],
+        eqs.append((r, D.term(d),
+                    [("s", d, f.comp(d), None),
+                     ("k", d, -D.diff(d - 1), None),
+                     ("k", d + 1, None, -D.diff(d))],
                     Matrix.identity(ring, r)))
-    A, rhs = u.system(eqs)
-    if not A.rows:
-        return zero_map(D, C)
-    part = solve(A, rhs)
-    if part is None:
+    sol = u.solve(eqs)
+    if sol is None:
         return None
-    return ChainMap(D, C, 0, u.comps("s", part))
+    return ChainMap(D, C, 0, sol["s"])
 
 
 def eigenmap_to_json(a):

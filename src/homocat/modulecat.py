@@ -8,9 +8,10 @@ module over k[x]/(x^m - 1).
 """
 
 from functools import cache
+from math import gcd
 
 from .exactlinalg import (
-    Matrix, IntegerRingUnsupported, kernel, solve,
+    Matrix, IntegerRingUnsupported, kernel, solve, _stack,
 )
 
 
@@ -318,12 +319,16 @@ def trivial_module(alg):
     return Module(alg, 1, Matrix.identity(ring, 1))
 
 
-def direct_sum_modules(a, b):
-    if a.alg != b.alg:
+def direct_sum_modules(*modules):
+    """The direct sum of one or more modules, in the order given."""
+    alg = modules[0].alg
+    if any(m.alg != alg for m in modules):
         raise ValueError("algebra mismatch")
-    x = Matrix.block(a.alg.ring, [[a.x_action, None], [None, b.x_action]]) \
-        if a.dim and b.dim else (a.x_action if b.dim == 0 else b.x_action)
-    return Module(a.alg, a.dim + b.dim, x, check=False)
+    dims = [m.dim for m in modules]
+    x = _stack(alg.ring, [[m.x_action if i == j else None
+                           for j in range(len(modules))]
+                          for i, m in enumerate(modules)], dims, dims)
+    return Module(alg, sum(dims), x, check=False)
 
 
 def tensor_modules(a, b):
@@ -333,17 +338,75 @@ def tensor_modules(a, b):
                   check=False)
 
 
+def orbits(module):
+    """The x-orbits of the basis, each as [j, xj, x^2 j, ...] from its least
+    index and in the order of those, when x permutes the basis; else None."""
+    n = module.dim
+    one = module.alg.ring.one()
+    succ = [None] * n
+    for i, row in enumerate(module.x_action.data):
+        if len(row) != 1:
+            return None
+        (j, v), = row.items()
+        if v != one or succ[j] is not None:
+            return None
+        succ[j] = i  # x e_j = e_i
+    out = []
+    seen = [False] * n
+    for j in range(n):
+        if not seen[j]:
+            orbit = []
+            while not seen[j]:
+                seen[j] = True
+                orbit.append(j)
+                j = succ[j]
+            out.append(orbit)
+    return out
+
+
 def hom_basis(src, tgt):
     """Basis of Hom_A(src, tgt) as a list of ModuleMaps.
 
     Over Z the basis spans a saturated sublattice (it is the full kernel of an
     integer matrix), so integral coordinates of any intertwiner exist.
+
+    Between permutation modules a matrix intertwines exactly when it is
+    constant on the x-orbits of the cells of tgt x src, so the basis is the
+    orbit indicators, listed in the order the kernel path gives them (by
+    their last row-major cell); nothing is solved.
     """
     if src.alg != tgt.alg:
         raise ValueError("algebra mismatch")
     ring = src.alg.ring
     if src.dim == 0 or tgt.dim == 0:
         return []
+    so, to = orbits(src), orbits(tgt)
+    if so is None or to is None:
+        return _kernel_hom_basis(src, tgt)
+    cells = []
+    for t in to:
+        for s in so:
+            g = gcd(len(t), len(s))
+            span = len(t) * len(s) // g
+            for u in range(g):
+                orbit = [(t[(u + k) % len(t)], s[k % len(s)])
+                         for k in range(span)]
+                cells.append((max(i * src.dim + j for i, j in orbit), orbit))
+    cells.sort()
+    one = ring.one()
+    out = []
+    for _, orbit in cells:
+        rows = [{} for _ in range(tgt.dim)]
+        for i, j in orbit:
+            rows[i][j] = one
+        out.append(ModuleMap(src, tgt, check=False,
+                             mat=Matrix._of(ring, tgt.dim, src.dim, rows)))
+    return out
+
+
+def _kernel_hom_basis(src, tgt):
+    """hom_basis for any modules: the kernel of the intertwiner equations."""
+    ring = src.alg.ring
     # row-major vec: vec(M X_s) = (I (x) X_s^T) vec M, vec(X_t M) = (X_t (x) I) vec M
     it = Matrix.identity(ring, tgt.dim)
     isrc = Matrix.identity(ring, src.dim)
@@ -484,16 +547,28 @@ class Decomposition:
 
     basis columns are grouped by block; conjugating x_action by basis gives a
     block-diagonal matrix whose blocks realize the tags.  inverse is the
-    inverse of basis.
+    inverse of basis.  When basis is a permutation matrix, perm lists the
+    old index of each new basis vector (column k of basis is e_perm[k]);
+    otherwise perm is None.
     """
 
-    __slots__ = ("module", "tags", "basis", "inverse")
+    __slots__ = ("module", "tags", "basis", "inverse", "perm")
 
-    def __init__(self, module, tags, basis, inverse):
+    def __init__(self, module, tags, basis, inverse, perm=None):
         self.module = module
         self.tags = tags
         self.basis = basis
         self.inverse = inverse
+        self.perm = perm
+
+
+def is_local(alg):
+    """Whether p = (x - 1)^m is the whole factorization, so that every
+    indecomposable is k[x]/(x - 1)^j (over F_p: m a power of p)."""
+    one = alg.ring.one()
+    fac = alg.factorization
+    return fac is not None and len(fac) == 1 \
+        and fac[0][0] == (alg.ring.neg(one), one)
 
 
 def _nonzero_components(X):
@@ -518,6 +593,35 @@ def _nonzero_components(X):
 def decompose(module):
     """Krull-Schmidt decomposition over a field with a known factorization.
 
+    A permutation module over a local algebra needs no Smith form: an orbit
+    of size s spans k[x]/(x^s - 1) = k[x]/(x - 1)^s, which is indecomposable,
+    and its walk [j, xj, ...] is the companion basis of that block, so the
+    basis is a permutation.  Other modules go through _smith_decompose.
+    """
+    alg = module.alg
+    ring = alg.ring
+    if not ring.is_field:
+        raise IntegerRingUnsupported("decompose requires a field")
+    if alg.factorization is None:
+        raise ValueError("decompose needs the factorization of p")
+    orbs = orbits(module) if is_local(alg) else None
+    if orbs is None:
+        return _smith_decompose(module)
+    orbs.sort(key=len)
+    perm = [j for orbit in orbs for j in orbit]
+    one = ring.one()
+    rows = [None] * module.dim
+    for k, j in enumerate(perm):
+        rows[j] = {k: one}
+    basis = Matrix._of(ring, module.dim, module.dim, rows)
+    q = alg.factorization[0][0]
+    return Decomposition(module, [IndecomposableTag(q, len(o)) for o in orbs],
+                         basis, basis.transpose(), perm)
+
+
+def _smith_decompose(module):
+    """decompose for any module, through polynomial Smith forms.
+
     The action matrix is first split along connected components of its
     nonzero pattern, so direct sums of small modules (as produced by tensor
     products) avoid one large polynomial Smith computation; components with
@@ -526,10 +630,6 @@ def decompose(module):
     """
     alg = module.alg
     ring = alg.ring
-    if not ring.is_field:
-        raise IntegerRingUnsupported("decompose requires a field")
-    if alg.factorization is None:
-        raise ValueError("decompose needs the factorization of p")
     n = module.dim
     X = module.x_action
     comps = _nonzero_components(X)

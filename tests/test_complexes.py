@@ -2,9 +2,12 @@ import random
 
 import pytest
 
-from homocat.exactlinalg import PrimeField, Rationals, Integers, Matrix, kernel
+from homocat.exactlinalg import (
+    PrimeField, Rationals, Integers, Matrix, kernel, solve,
+)
 from homocat.modulecat import (
-    cyclic_algebra, regular_module, trivial_module, tensor_modules,
+    Module, cyclic_algebra, regular_module, trivial_module, tensor_modules,
+    hom_basis,
 )
 from homocat.complexes import (
     Complex, ChainMap, Homotopy, Verdict, PASS, FAIL, INCONCLUSIVE,
@@ -13,10 +16,11 @@ from homocat.complexes import (
     solve_null_homotopy, is_contractible, homotopy_inverse,
     identity_map, zero_map, minimize, equivalent, hom_complex,
     restrict, complex_to_json, complex_from_json, maps_equal, bracket,
-    chain_map_space,
+    chain_map_space, _unit_at_one,
 )
 
 F2 = PrimeField(2)
+F3 = PrimeField(3)
 Q = Rationals()
 Z = Integers()
 
@@ -172,8 +176,44 @@ class TestHomotopy:
         assert not is_contractible(F).passed
         assert homotopy_inverse(zero_map(F, F)).status == FAIL
 
+    @pytest.mark.parametrize("window", [None, (0, 1)], ids=["full", "window"])
+    def test_right_side_that_is_not_a_linear_never_passes(self, window):
+        # h_1 = id matches f on the generator column e_0 of A, but f sends
+        # x e_0 = e_1 to 0, so no intertwining h has [d, h] = f
+        alg = cyclic_algebra(F2, 2)
+        A = regular_module(alg)
+        c = Complex(alg, 0, [A, A], [Matrix.identity(F2, 2)])
+        e = M(F2, [[1, 0], [0, 0]])
+        f = ChainMap(c, c, 0, {0: e, 1: e}, check=False)
+        try:
+            v = solve_null_homotopy(f, equation_degrees=window)
+        except AssertionError:
+            return
+        assert v.status == FAIL
+
 
 class TestMinimize:
+    @pytest.mark.parametrize("ring,m", [
+        (F2, 2), (F2, 4), (F2, 8), (F3, 3), (F3, 9)])
+    def test_unit_at_one_agrees_with_solve(self, ring, m):
+        # a (x - 1)^s summand in its companion basis is the cyclic shift
+        alg = cyclic_algebra(ring, m)
+        rng = random.Random(f"unit-{ring}-{m}")
+        seen = set()
+        for s in (s for s in range(1, m + 1) if m % s == 0):
+            shift_s = regular_module(cyclic_algebra(ring, s)).x_action
+            summand = Module(alg, s, shift_s)
+            basis = hom_basis(summand, summand)
+            for _ in range(10):
+                g = Matrix.zeros(ring, s, s)
+                for b in basis:
+                    g = g + b.mat.scale(rng.randrange(ring.p))
+                unit = solve(g, Matrix.identity(ring, s)) is not None
+                assert _unit_at_one(ring, (g[i, 0] for i in range(s))) \
+                    == unit
+                seen.add(unit)
+        assert seen == {True, False}
+
     def test_cone_beta_minimal_two_step(self):
         _, A, one, F, _, beta = worked_example(F2)
         mr = minimize(cone(beta))

@@ -4,6 +4,7 @@ import pytest
 
 from homocat.exactlinalg import (
     PrimeField, Rationals, Integers, Matrix, IntegerRingUnsupported, rref,
+    solve,
 )
 from homocat.modulecat import (
     AlgebraPresentation, Module, ModuleMap, UnitNotAnnihilated,
@@ -11,6 +12,7 @@ from homocat.modulecat import (
     direct_sum_modules, tensor_modules, hom_basis, decompose,
     factor_over_prime_field, factor_x_power_minus_one, cyclotomic,
     pmul, pdivmod, pxgcd, peval_matrix, IndecomposableTag,
+    orbits, _kernel_hom_basis, _smith_decompose,
 )
 
 F2 = PrimeField(2)
@@ -154,6 +156,89 @@ class TestDecompose:
                 dec = decompose(conj)
                 assert sorted(t.sort_key() for t in dec.tags) == expected
                 _check_basis(dec)
+
+
+def random_permutation_module(alg, rng, max_orbits=3):
+    """A sum of x-orbits of sizes dividing m, on a shuffled basis."""
+    m = alg.m
+    sizes = [rng.choice([s for s in range(1, m + 1) if m % s == 0])
+             for _ in range(rng.randrange(1, max_orbits + 1))]
+    n = sum(sizes)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    rows = [{} for _ in range(n)]
+    for s in sizes:
+        walk, labels = labels[:s], labels[s:]
+        for k, j in enumerate(walk):
+            rows[walk[(k + 1) % s]][j] = alg.ring.one()  # x e_j = e_next
+    return Module(alg, n, Matrix._of(alg.ring, n, n, rows))
+
+
+def _vecs(maps):
+    """The row-major vectorizations of the maps, as matrix columns."""
+    ring = maps[0].mat.ring
+    cols = maps[0].mat.cols
+    return Matrix._of(ring, len(maps), maps[0].mat.rows * cols, (
+        {r * cols + j: v for r, row in enumerate(f.mat.data)
+         for j, v in row.items()} for f in maps)).transpose()
+
+
+class TestPermutationModules:
+    """The orbit paths against the kernel and Smith paths they replace."""
+
+    def test_orbits(self):
+        alg = cyclic_algebra(F2, 4)
+        assert orbits(regular_module(alg)) == [[0, 1, 2, 3]]
+        mod = direct_sum_modules(trivial_module(alg), regular_module(alg))
+        assert orbits(mod) == [[0], [1, 2, 3, 4]]
+        # x - 1 on the regular module of Q[x]/(x^2 - 1) is not a permutation
+        q = cyclic_algebra(Q, 2)
+        conj = Module(q, 2, M(Q, [[1, 0], [1, -1]]))
+        assert orbits(conj) is None
+
+    @pytest.mark.parametrize("ring,m", [
+        (F2, 2), (F2, 4), (F2, 6), (F3, 3), (F3, 6), (Q, 2), (Q, 4), (Q, 6),
+        (Z, 2), (Z, 3), (Z, 4)])
+    def test_orbit_hom_basis_matches_kernel(self, ring, m):
+        alg = cyclic_algebra(ring, m)
+        rng = random.Random(f"hom-{ring}-{m}")
+        for _ in range(6):
+            src = random_permutation_module(alg, rng)
+            tgt = random_permutation_module(alg, rng)
+            got = hom_basis(src, tgt)
+            ref = _kernel_hom_basis(src, tgt)
+            assert len(got) == len(ref)
+            for f in got:
+                ModuleMap(src, tgt, f.mat)  # check=True: an intertwiner
+            # listed in the kernel path's order, which makes the two equal
+            assert [f.mat for f in got] == [f.mat for f in ref]
+            g = _vecs(got)
+            if ring.is_field:
+                both = g.hstack(_vecs(ref))
+                assert rref(g).rank == rref(both).rank == len(got)
+            else:
+                assert solve(g, _vecs(ref)) is not None  # integral coords
+
+    @pytest.mark.parametrize("ring,m", [
+        (F2, 2), (F2, 4), (F2, 8), (F3, 3), (F3, 9)])
+    def test_orbit_decompose_matches_smith(self, ring, m):
+        alg = cyclic_algebra(ring, m)
+        rng = random.Random(f"dec-{ring}-{m}")
+        for _ in range(6):
+            mod = random_permutation_module(alg, rng, max_orbits=4)
+            dec = decompose(mod)
+            ref = _smith_decompose(mod)
+            assert dec.perm is not None and ref.perm is None
+            assert dec.tags == ref.tags
+            X = mod.x_action
+            assert dec.inverse * X * dec.basis == ref.inverse * X * ref.basis
+            assert dec.basis * dec.inverse == Matrix.identity(ring, mod.dim)
+            _check_basis(dec)
+
+    def test_non_local_algebras_keep_the_smith_path(self):
+        for ring, m in ((F2, 6), (Q, 2), (F3, 2)):
+            alg = cyclic_algebra(ring, m)
+            assert decompose(regular_module(alg)).perm is None
 
 
 def _random_invertible(ring, n, rng):

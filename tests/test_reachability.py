@@ -1,5 +1,5 @@
-"""Every top-level function of homocat is called from somewhere in the
-package, or it is on KEEP with the reason it stays.
+"""Every top-level function and method of homocat is called from somewhere
+in the package, or it is on KEEP with the reason it stays.
 
 A function that only its own tests call is code that no scenario runs.
 Listing the uncalled functions and comparing them with KEEP makes such code
@@ -37,7 +37,15 @@ KEEP = {
         "ROADMAP item 5: left for a later deletion with its tests",
     "interpolation.rho":
         "ROADMAP item 5: left for a later deletion with its tests",
+    "convolutions.Poset.is_convex":
+        "ROADMAP item 5: left for a later deletion with its tests",
+    "exactlinalg.Matrix.col": "only tests call them",
+    "exactlinalg.Matrix.is_identity": "only tests call them",
 }
+
+
+def _trees():
+    return {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
 
 
 def uncalled_functions():
@@ -46,7 +54,7 @@ def uncalled_functions():
     uses it: to that module's own function, or through its
     `from .module import name` to the defining module.  Import lines alone
     do not count as a use."""
-    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    trees = _trees()
     defined = {}
     imported = {}
     for mod, tree in trees.items():
@@ -77,8 +85,23 @@ def uncalled_functions():
             for name in names} - used
 
 
+def uncalled_methods():
+    """Methods, as "module.Class.name", whose name appears as an attribute
+    nowhere in the package.  Dunder methods are left out: Python itself
+    calls them."""
+    trees = _trees()
+    attrs = {n.attr for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute)}
+    return {f"{mod}.{cls.name}.{fn.name}"
+            for mod, tree in trees.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))
+            and fn.name not in attrs}
+
+
 def test_uncalled_functions_are_exactly_the_keep_list():
-    uncalled = uncalled_functions()
+    uncalled = uncalled_functions() | uncalled_methods()
     assert sorted(uncalled - set(KEEP)) == [], \
         "no caller in homocat: call, delete, or add to KEEP with a reason"
     assert sorted(set(KEEP) - uncalled) == [], \
