@@ -960,37 +960,27 @@ def equivalent(c1, c2, candidate=None, seed=0xC0FFEE, equation_degrees=None):
     degs = [d for d in degs if m1.minimal.term(d).dim]
     rng = _random.Random(seed)
     n = len(space)
-    tried = set()
+    p = ring.p
 
     def component(coeffs, d):
         m = Matrix.zeros(ring, m2.minimal.term(d).dim, m1.minimal.term(d).dim)
         for cf, b in zip(coeffs, space):
             if cf:
-                m = m + b.comp(d).scale(ring.coerce(cf))
+                bd = b.comp(d)
+                m = m + (bd if cf == 1 else bd.scale(ring.coerce(cf)))
         return m
 
-    if ring.kind == "fp" and ring.p ** n <= 2 ** 16:
-        combos = []
-        for idx in range(1, ring.p ** n):
-            v = idx
-            cf = []
-            for _ in range(n):
-                cf.append(v % ring.p)
-                v //= ring.p
-            combos.append(tuple(cf))
+    if ring.kind == "fp" and p ** n <= 2 ** 16:
+        # every nonzero coefficient vector, lowest digit first, made lazily
+        attempts = (tuple(idx // p ** k % p for k in range(n))
+                    for idx in range(1, p ** n))
     else:
-        combos = None
-
-    nsamples = 32 if ring.kind == "q" else 64
-    attempts = combos if combos is not None else range(nsamples)
-    for a in attempts:
-        if combos is not None:
-            cf = a
-        else:
-            if ring.kind == "fp":
-                cf = tuple(rng.randrange(ring.p) for _ in range(n))
-            else:
-                cf = tuple(rng.randrange(-3, 4) for _ in range(n))
+        draw = (lambda: rng.randrange(p)) if ring.kind == "fp" \
+            else (lambda: rng.randrange(-3, 4))
+        attempts = (tuple(draw() for _ in range(n))
+                    for _ in range(32 if ring.kind == "q" else 64))
+    tried = set()
+    for cf in attempts:
         if cf in tried or all(x == 0 for x in cf):
             continue
         tried.add(cf)

@@ -11,7 +11,7 @@ from functools import cache
 from math import gcd
 
 from .exactlinalg import (
-    Matrix, IntegerRingUnsupported, kernel, solve, _stack,
+    Matrix, IntegerRingUnsupported, kernel, solve,
 )
 
 
@@ -320,15 +320,16 @@ def trivial_module(alg):
 
 
 def direct_sum_modules(*modules):
-    """The direct sum of one or more modules, in the order given."""
+    """The direct sum of one or more modules, in the order given, built in
+    one pass over the diagonal blocks."""
     alg = modules[0].alg
     if any(m.alg != alg for m in modules):
         raise ValueError("algebra mismatch")
-    dims = [m.dim for m in modules]
-    x = _stack(alg.ring, [[m.x_action if i == j else None
-                           for j in range(len(modules))]
-                          for i, m in enumerate(modules)], dims, dims)
-    return Module(alg, sum(dims), x, check=False)
+    rows, off = [], 0
+    for m in modules:
+        rows.extend({off + j: v for j, v in r.items()} for r in m.x_action.data)
+        off += m.dim
+    return Module(alg, off, Matrix._of(alg.ring, off, off, rows), check=False)
 
 
 def tensor_modules(a, b):
