@@ -134,7 +134,7 @@ def _cyclic_checks(ring_name, m, depth, edge, seed, direction):
         lo, hi = window_bounds(Pb.complex, w, direction=direction)
         if lo >= hi:
             return INCONCLUSIVE, EMPTY_WINDOW
-        r = minimize(restrict(Pb.complex, lo, hi)).minimal
+        r = minimize(restrict(Pb.complex, lo, hi), retract=False).minimal
         # a stable degree is the projective cover of the trivial module:
         # the summand of A on which x - 1 is nilpotent
         cover = next(t.dim for t in decompose(A).tags
@@ -179,9 +179,10 @@ def _cyclic_checks(ring_name, m, depth, edge, seed, direction):
             lo, hi = window_bounds(tp.complex, w, direction=direction)
             if lo >= hi:
                 return INCONCLUSIVE, EMPTY_WINDOW
-            r = minimize(restrict(cone(u), lo, hi)).minimal
+            r = minimize(restrict(cone(u), lo, hi), retract=False).minimal
             # the eigencone, cut at the same degrees and minimized the same way
-            expect = minimize(restrict(shift(cone(e.map), sh), lo, hi)).minimal
+            expect = minimize(restrict(shift(cone(e.map), sh), lo, hi),
+                              retract=False).minimal
             got = {d: r.term(d).dim for d in r.degrees()
                    if r.term(d).dim and lo < d <= hi}
             want = {d: expect.term(d).dim for d in expect.degrees()
@@ -238,7 +239,7 @@ def _cyclic_checks(ring_name, m, depth, edge, seed, direction):
         return PASS, "cone squares split off the shifted source"
 
     def c_semisimple():
-        r = minimize(F).minimal
+        r = minimize(F, retract=False).minimal
         collapsed = (r.total_dim() == 1)
         return (PASS if collapsed else FAIL,
                 "the complex minimizes to the monoidal unit: the scenario "

@@ -1039,32 +1039,21 @@ def hom_complex(c, d):
              for n in range(lo, hi + 1)]
     diffs = []
     for n in range(lo, hi):
-        rows = bases[n + 1]
-        cols = bases[n]
-        ent = [ring.zero()] * (rows * cols)
         sgn = ring.coerce(-1 if n % 2 == 0 else 1)  # -(-1)^n
         tpos = {i: (off, bm) for (i, off, bm) in layouts[n + 1]}
+        placed = []
         for (i, soff, bm) in layouts[n]:
             for bi, b in enumerate(bm):
-                col = soff + bi
-                # d_D . b lands in the degree-i piece of Hom^{n+1}
-                if i in tpos:
-                    toff, tb = tpos[i]
-                    coords = _coords_in_basis(ring, tb, d.diff(i + n) * b)
-                    for k, v in enumerate(coords):
-                        if v != ring.zero():
-                            ent[(toff + k) * cols + col] = ring.add(
-                                ent[(toff + k) * cols + col], v)
-                # -(-1)^n b . d_C lands in the degree-(i-1) piece
-                if i - 1 in tpos:
-                    toff, tb = tpos[i - 1]
-                    coords = _coords_in_basis(ring, tb,
-                                              (b * c.diff(i - 1)).scale(sgn))
-                    for k, v in enumerate(coords):
-                        if v != ring.zero():
-                            ent[(toff + k) * cols + col] = ring.add(
-                                ent[(toff + k) * cols + col], v)
-        diffs.append(Matrix(ring, rows, cols, ent, _trusted=True))
+                # d_D . b lands in the degree-i piece of Hom^{n+1}, and
+                # -(-1)^n b . d_C in the degree-(i-1) piece
+                for j, left, right in ((i, d.diff(i + n), b),
+                                       (i - 1, b, c.diff(i - 1).scale(sgn))):
+                    if j in tpos:
+                        toff, tb = tpos[j]
+                        coords = _coords_in_basis(ring, tb, left * right)
+                        placed += [(toff + k, soff + bi, v)
+                                   for k, v in enumerate(coords)]
+        diffs.append(Matrix._placed(ring, bases[n + 1], bases[n], placed))
     return Complex(triv, lo, terms, diffs)
 
 

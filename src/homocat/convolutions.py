@@ -62,15 +62,6 @@ class Poset:
             remaining.remove(pick)
         return out
 
-    def is_convex(self, subset):
-        ss = set(subset)
-        for j in ss:
-            for i in ss:
-                for k in self.interval(j, i):
-                    if k not in ss:
-                        return False
-        return True
-
 
 class TwistedComplex:
     """Layers over a poset with strictly-decreasing degree-1 cross maps.

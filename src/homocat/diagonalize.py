@@ -230,35 +230,3 @@ def tightness_spot_check(a_list, p_list, test_objects,
                                       f"{'fixes' if fixed.passed else 'moves'}"
                                       f" the object")
     return Verdict(PASS)
-
-
-# -- partial order ------------------------------------------------------------
-
-def _absorbs(p, q, direction, seed):
-    """p (x) q ~ p and q (x) p ~ p on the windows (p lies under q)."""
-    own = _piece(_reduced(_complex_of(p)),
-                 (_complex_of(p).min_deg, _complex_of(p).max_deg),
-                 _edge_of(p), direction)
-    for pair in ([p, q], [q, p]):
-        v = _equiv_on_common(_product_piece(pair, direction), own, seed)
-        if v.status == INCONCLUSIVE:
-            return v
-        if not v.passed:
-            return Verdict(FAIL)
-    return Verdict(PASS)
-
-
-def compare_idempotents(p1, p2, direction=DEFAULT_DIRECTION, seed=0xC0FFEE):
-    """Order relation between two idempotents: '<=', '>=', 'equal', or
-    'incomparable' (both products judged on stable windows)."""
-    le = _absorbs(p1, p2, direction, seed)
-    ge = _absorbs(p2, p1, direction, seed)
-    if le.status == INCONCLUSIVE or ge.status == INCONCLUSIVE:
-        return "inconclusive"
-    if le.passed and ge.passed:
-        return "equal"
-    if le.passed:
-        return "<="
-    if ge.passed:
-        return ">="
-    return "incomparable"

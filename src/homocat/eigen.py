@@ -9,7 +9,7 @@ from .exactlinalg import Matrix, matrix_to_json, matrix_from_json
 from .modulecat import trivial_module
 from .complexes import (
     Complex, ChainMap, Homotopy, Verdict, PASS, FAIL, INCONCLUSIVE,
-    atom, shift, direct_sum, tensor, cone, homology,
+    atom, shift, direct_sum, tensor, tensor_maps, cone, homology,
     is_contractible, identity_map, minimize, maps_equal,
     bracket, _Unknowns,
 )
@@ -146,22 +146,17 @@ def _word_contractible(cones, word):
         cur = pair
         for k in word[i + 2:]:
             fac = cones[k]
-            h = _tensor_homotopy(h, identity_map(fac))
+            h = tensor_maps(h, identity_map(fac))
             cur = tensor(cur, fac)
         for k in reversed(word[:i]):
             fac = cones[k]
-            h = _tensor_homotopy(identity_map(fac), h)
+            h = tensor_maps(identity_map(fac), h)
             cur = tensor(fac, cur)
         hh = Homotopy(cur, cur, -1, h.comps)
         assert maps_equal(bracket(hh), identity_map(cur)), \
             "extended contraction failed its exact check"
         return Verdict(PASS, witness=hh)
     return _contractible(_word_product(cones, word))
-
-
-def _tensor_homotopy(f, g):
-    from .complexes import tensor_maps
-    return tensor_maps(f, g)
 
 
 def check_PD1(maps, all_orderings=True):
@@ -338,7 +333,6 @@ def is_split_eigenobject(a, b, m):
         mc = atom(m)
     if mc.is_zero():
         raise ValueError("eigenobjects are nonzero by definition")
-    from .complexes import tensor_maps
     F = a.tgt
     FM = tensor(F, mc)
     lamM = tensor(a.src, mc)

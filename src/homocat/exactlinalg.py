@@ -149,11 +149,10 @@ class Matrix:
 
     __slots__ = ("ring", "rows", "cols", "data")
 
-    def __init__(self, ring, rows, cols, entries, _trusted=False):
+    def __init__(self, ring, rows, cols, entries):
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ValueError("bad matrix shape")
-        if not _trusted:
-            entries = [ring.coerce(x) for x in entries]
+        entries = [ring.coerce(x) for x in entries]
         self.ring = ring
         self.rows = rows
         self.cols = cols
@@ -167,6 +166,22 @@ class Matrix:
         m = object.__new__(Matrix)
         m.ring, m.rows, m.cols, m.data = ring, rows, cols, tuple(data)
         return m
+
+    @staticmethod
+    def _placed(ring, rows, cols, triples):
+        """The matrix that has each value of the (row, col, value) triples
+        added at its position.  Values are ring elements; sums that vanish
+        are dropped."""
+        data = [{} for _ in range(rows)]
+        add = ring.add
+        for r, c, v in triples:
+            row = data[r]
+            w = add(row[c], v) if c in row else v
+            if w:
+                row[c] = w
+            else:
+                row.pop(c, None)
+        return Matrix._of(ring, rows, cols, data)
 
     # -- constructors --------------------------------------------------
     @staticmethod
@@ -373,8 +388,7 @@ def matrix_to_json(m):
 
 def matrix_from_json(ring, obj):
     return Matrix(ring, obj["rows"], obj["cols"],
-                  [ring.elem_from_str(s) for s in obj["entries"]],
-                  _trusted=True)
+                  [ring.elem_from_str(s) for s in obj["entries"]])
 
 
 # -- sparse elimination on unit pivots -----------------------------------------
@@ -648,16 +662,14 @@ def solve(a, b):
         d, s, t = snf(Matrix._of(ring, len(rest), len(cols), left))
         sb = s * Matrix._of(ring, len(rest), b.cols, right)
         n = min(d.rows, d.cols)
-        y = [0] * (d.cols * b.cols)
-        for i in range(d.rows):
+        y = [{} for _ in range(d.cols)]
+        for i, row in enumerate(sb.data):
             di = d[i, i] if i < n else 0
-            for j in range(b.cols):
-                v = sb[i, j]
-                if (v % di if di else v) != 0:
+            for j, v in row.items():
+                if not di or v % di:
                     return None
-                if di:
-                    y[i * b.cols + j] = v // di
-        x = t * Matrix(ring, d.cols, b.cols, y, _trusted=True)
+                y[i][j] = v // di
+        x = t * Matrix._of(ring, d.cols, b.cols, y)
         for i, c in enumerate(cols):
-            assigned[c] = {j: x[i, j] for j in range(b.cols) if x[i, j]}
+            assigned[c] = x.data[i]
     return _lift(ring, a.cols, b.cols, pivots, prows, assigned)

@@ -7,20 +7,16 @@ from .modulecat import trivial_module
 from .complexes import (
     ChainMap, Verdict, PASS, FAIL, INCONCLUSIVE,
     atom, zero_complex, shift, direct_sum, tensor, tensor_layout, tensor_maps,
-    cone, homology, identity_map, solve_null_homotopy, homotopy_inverse,
+    cone, homology, identity_map, solve_null_homotopy,
     restrict, restrict_map, equivalent, complex_to_json, complex_from_json,
 )
 from .convolutions import (
     Poset, TwistedComplex, tot, zigzag_tot, NotAChainMap, CurvatureViolation,
 )
-from .eigen import Eigenmap, ScalarShift, is_eigenobject
+from .eigen import Eigenmap, ScalarShift
 
 
 class SmallnessViolated(Exception):
-    pass
-
-
-class NotAnEigenobject(Exception):
     pass
 
 
@@ -54,11 +50,6 @@ class TruncationWindow:
 
     def __repr__(self):
         return f"TruncationWindow(depth={self.depth}, edge={self.edge})"
-
-
-def default_window(f):
-    """Depth 12, edge twice the length of the operator complex plus two."""
-    return TruncationWindow(12, 2 * (f.max_deg - f.min_deg + 1) + 2)
 
 
 EMPTY_WINDOW = "stable window is empty"
@@ -284,35 +275,24 @@ def _block_map(src_layers, tgt_layers, src_cx, tgt_cx, index_map,
     ring = tgt_cx.alg.ring
     comps = {}
     for d in range(src_cx.min_deg, src_cx.max_deg + 1):
-        sd = d + src_degree_shift
         rows = tgt_cx.term(d).dim
         cols = src_cx.term(d).dim
         if rows == 0 or cols == 0:
             continue
-        soffs = _layer_offsets(src_layers, sd)
         toffs = {i: (off, dim)
                  for (i, off, dim) in _layer_offsets(tgt_layers, d)}
-        ent = [ring.zero()] * (rows * cols)
-        any_nz = False
-        for i, soff, sdim in soffs:
-            if sdim == 0:
-                continue
+        placed = list(extra.get(d, ())) if extra else []
+        for i, soff, sdim in _layer_offsets(src_layers,
+                                            d + src_degree_shift):
             j = index_map(i)
-            if j is None:
+            if sdim == 0 or j is None:
                 continue
             toff, tdim = toffs[j]
             assert tdim == sdim
             val = ring.one() if block_sign is None \
                 else ring.coerce(block_sign(j))
-            for r in range(sdim):
-                ent[(toff + r) * cols + (soff + r)] = val
-            any_nz = True
-        if extra and d in extra:
-            for (r, c_, v) in extra[d]:
-                ent[r * cols + c_] = v
-                any_nz = True
-        if any_nz:
-            comps[d] = Matrix(ring, rows, cols, ent, _trusted=True)
+            placed += [(toff + r, soff + r, val) for r in range(sdim)]
+        comps[d] = Matrix._placed(ring, rows, cols, placed)
     return comps
 
 
@@ -362,12 +342,9 @@ def head_projection(tp):
     offs = {i: (off, dim)
             for (i, off, dim) in _layer_offsets(tp.tot_layers, d0)}
     hoff, hdim = offs[1]
-    full = tp.complex.term(d0).dim
-    ent = [ring.zero()] * (hdim * full)
-    for r in range(hdim):
-        ent[r * full + hoff + r] = ring.one()
-    return ChainMap(tp.complex, head, 0,
-                    {d0: Matrix(ring, hdim, full, ent, _trusted=True)})
+    return ChainMap(tp.complex, head, 0, {d0: Matrix._placed(
+        ring, hdim, tp.complex.term(d0).dim,
+        ((r, hoff + r, ring.one()) for r in range(hdim)))})
 
 
 def _interior_plain(a, b, w):
@@ -491,13 +468,9 @@ def partial_map(a, b):
         if rows == 0 or cols == 0:
             continue
         foff = rows - a.map.tgt.term(d).dim
-        ent = [ring.zero()] * (rows * cols)
-        for r in range(m.rows):
-            for c_ in range(m.cols):
-                ent[(foff + r) * cols + c_] = ring.neg(m[r, c_])
-        mat = Matrix(ring, rows, cols, ent, _trusted=True)
-        if not mat.is_zero():
-            comps[d] = mat
+        comps[d] = Matrix._placed(ring, rows, cols, (
+            (foff + r, c_, ring.neg(v))
+            for r, row in enumerate(m.data) for c_, v in row.items()))
     return ChainMap(src, cn, 0, comps)
 
 
@@ -568,23 +541,43 @@ def _degree_perms(tp, copies, where, g, predicted):
     return out
 
 
-def _compare_perm(actual, predicted, perms):
-    lo = min(actual.min_deg, predicted.min_deg)
-    hi = max(actual.max_deg, predicted.max_deg)
-    for d in range(lo, hi + 1):
+def _rebuild(tp, zero_partial):
+    """The compact description of a single zigzag build, totalized, with
+    the per-degree coordinate permutations into the build.  zero_partial
+    replaces the cross terms by zero.  Raises CurvatureViolation or
+    ValueError when the rebuild is not a complex."""
+    copies, where, cross, poset, g = _copy_data(tp)
+    twisted = TwistedComplex(poset, dict(enumerate(copies)),
+                             {} if zero_partial else cross)
+    predicted = tot(twisted, order=list(range(len(copies))))
+    return predicted, _degree_perms(tp, copies, where, g, predicted)
+
+
+def _compare(actual, predicted, perm, mismatch):
+    """PASS, witnessed by predicted, when actual has predicted's support and
+    term dimensions and each differential of actual, re-indexed by the
+    coordinate permutations perm(d), equals predicted's.  Otherwise FAIL;
+    mismatch(d, r, c) words a difference at predicted entry (r, c) in
+    degree d, the first one, which is looked for only then."""
+    if (actual.min_deg, actual.max_deg) != (predicted.min_deg,
+                                            predicted.max_deg):
+        return Verdict(FAIL, reason="support differs")
+    for d in predicted.degrees():
         if actual.term(d).dim != predicted.term(d).dim:
-            return f"term dimension differs in degree {d}"
-    for d in range(lo, hi):
+            return Verdict(FAIL,
+                           reason=f"term dimension differs in degree {d}")
+    cols = perm(predicted.min_deg)
+    for d in range(predicted.min_deg, predicted.max_deg):
+        rows = perm(d + 1)
         pd = predicted.diff(d)
-        ad = actual.diff(d)
-        ps = perms.get(d) or []
-        pt = perms.get(d + 1) or []
-        for r in range(pd.rows):
-            for c_ in range(pd.cols):
-                if pd[r, c_] != ad[pt[r], ps[c_]]:
-                    return (f"differential mismatch in degree {d} at "
-                            f"predicted entry ({r}, {c_})")
-    return None
+        ad = actual.diff(d).submatrix(rows, cols)
+        if ad != pd:
+            r = next(r for r in range(pd.rows) if ad.data[r] != pd.data[r])
+            a, p = ad.data[r], pd.data[r]
+            c = min(j for j in a.keys() | p.keys() if a.get(j) != p.get(j))
+            return Verdict(FAIL, reason=mismatch(d, r, c))
+        cols = rows
+    return Verdict(PASS, witness=predicted)
 
 
 def verify_compact_description(a, b, w, kind="Cab",
@@ -595,19 +588,13 @@ def verify_compact_description(a, b, w, kind="Cab",
     the block orders.  zero_partial replaces the cross terms by zero (the
     naive direct sum), which must fail the comparison."""
     tp = (build_Cab if kind == "Cab" else build_Cba)(a, b, w, direction)
-    copies, where, cross, poset, g = _copy_data(tp)
-    if zero_partial:
-        cross = {}
-    twisted = TwistedComplex(poset, dict(enumerate(copies)), cross)
     try:
-        predicted = tot(twisted, order=list(range(len(copies))))
+        predicted, perms = _rebuild(tp, zero_partial)
     except (CurvatureViolation, ValueError) as e:
         return Verdict(FAIL, reason=f"predicted rebuild is not a complex: {e}")
-    perms = _degree_perms(tp, copies, where, g, predicted)
-    bad = _compare_perm(tp.complex, predicted, perms)
-    if bad is None:
-        return Verdict(PASS, witness=predicted)
-    return Verdict(FAIL, reason=bad)
+    return _compare(tp.complex, predicted, perms.__getitem__,
+                    lambda d, r, c: f"differential mismatch in degree {d} "
+                                    f"at predicted entry ({r}, {c})")
 
 
 # -- quasi-idempotents and projectors ----------------------------------------
@@ -730,84 +717,28 @@ def verify_P_koszul(maps, i, w, direction=DEFAULT_DIRECTION,
     if len(factors) != 2:
         raise NotImplementedError(
             "grid comparison implemented for at most two factors")
-    preds, perms_all, tps = [], [], []
-    for j, tp in factors:
-        copies, where, cross, poset, g = _copy_data(tp)
-        if zero_partial:
-            cross = {}
-        twisted = TwistedComplex(poset, dict(enumerate(copies)), cross)
-        try:
-            p = tot(twisted, order=list(range(len(copies))))
-        except (CurvatureViolation, ValueError) as e:
-            return Verdict(FAIL,
-                           reason=f"predicted rebuild is not a complex: {e}")
-        preds.append(p)
-        perms_all.append(_degree_perms(tp, copies, where, g, p))
-        tps.append(tp)
-    actual = tensor(tps[0].complex, tps[1].complex)
-    predicted = tensor(preds[0], preds[1])
-    bad = _tensor_compare(tps[0].complex, tps[1].complex, preds[0], preds[1],
-                          perms_all[0], perms_all[1], actual, predicted)
-    if bad is None:
-        return Verdict(PASS, witness=predicted)
-    return Verdict(FAIL, reason=bad)
+    try:
+        (p1, perm1), (p2, perm2) = (_rebuild(tp, zero_partial)
+                                    for _, tp in factors)
+    except (CurvatureViolation, ValueError) as e:
+        return Verdict(FAIL, reason=f"predicted rebuild is not a complex: {e}")
+    a1, a2 = (tp.complex for _, tp in factors)
 
-
-def _tensor_compare(a1, a2, p1, p2, perm1, perm2, actual, predicted):
-    """Entrywise comparison of two binary tensor products whose factors
-    match up to the given per-degree coordinate permutations."""
-
-    def perm_at(n):
-        lay_p = tensor_layout(p1, p2, n)
-        lay_a = tensor_layout(a1, a2, n)
-        apos = {(i_, j_): off for (i_, j_, off, _) in lay_a}
-        out = [None] * predicted.term(n).dim
-        for (i_, j_, off, _) in lay_p:
-            d2 = p2.term(j_).dim
-            aoff = apos[(i_, j_)]
-            q1 = perm1[i_]
-            q2 = perm2[j_]
-            for r1 in range(p1.term(i_).dim):
-                for r2 in range(d2):
-                    out[off + r1 * d2 + r2] = aoff + q1[r1] * d2 + q2[r2]
+    def perm(n):
+        # the factors' permutations, tensored block by block
+        apos = {(s, t): off for (s, t, off, _) in tensor_layout(a1, a2, n)}
+        out = []
+        for (s, t, _, _) in tensor_layout(p1, p2, n):
+            d2 = p2.term(t).dim
+            out += [apos[(s, t)] + q1 * d2 + q2
+                    for q1 in perm1[s] for q2 in perm2[t]]
         return out
-
-    if (actual.min_deg, actual.max_deg) != (predicted.min_deg,
-                                            predicted.max_deg):
-        return "support differs"
-    for n in range(predicted.min_deg, predicted.max_deg + 1):
-        if actual.term(n).dim != predicted.term(n).dim:
-            return f"term dimension differs in degree {n}"
-    pn = perm_at(predicted.min_deg)
-    for n in range(predicted.min_deg, predicted.max_deg):
-        pn1 = perm_at(n + 1)
-        pd = predicted.diff(n)
-        ad = actual.diff(n)
-        for r in range(pd.rows):
-            for c_ in range(pd.cols):
-                if pd[r, c_] != ad[pn1[r], pn[c_]]:
-                    return f"differential mismatch in tensor degree {n}"
-        pn = pn1
-    return None
+    return _compare(
+        tensor(a1, a2), tensor(p1, p2), perm,
+        lambda d, r, c: f"differential mismatch in tensor degree {d}")
 
 
 # -- eigen action ---------------------------------------------------------
-
-def rho(a_num, a_den, m):
-    """Quotient action of one eigenmap by another on a genuine eigenobject:
-    invert the denominator action up to homotopy, compose with the
-    numerator action."""
-    v = is_eigenobject(a_den, m)
-    if not v.passed:
-        raise NotAnEigenobject(
-            f"not an eigenobject for the denominator: {v.reason}")
-    f = tensor_maps(a_den.map, identity_map(m))
-    hv = homotopy_inverse(f)
-    if not hv.passed:
-        raise NotAnEigenobject("denominator action has no homotopy inverse")
-    psi = hv.witness[0]
-    return psi.compose(tensor_maps(a_num.map, identity_map(m)))
-
 
 def verify_eigenaction(maps, i, w, certificates=None,
                        direction=DEFAULT_DIRECTION, j=None, flip=False,

@@ -302,13 +302,9 @@ def zero_module(alg):
 def regular_module(alg):
     """A as a module over itself: the companion matrix of p."""
     ring, m = alg.ring, alg.m
-    z = ring.zero()
-    ent = [z] * (m * m)
-    for i in range(1, m):
-        ent[i * m + (i - 1)] = ring.one()
-    for i in range(m):
-        ent[i * m + (m - 1)] = ring.neg(alg.p_coeffs[i])
-    return Module(alg, m, Matrix(ring, m, m, ent, _trusted=True))
+    return Module(alg, m, Matrix._placed(ring, m, m, [
+        *((i, i - 1, ring.one()) for i in range(1, m)),
+        *((i, m - 1, ring.neg(alg.p_coeffs[i])) for i in range(m))]))
 
 
 def trivial_module(alg):

@@ -179,6 +179,10 @@ def w_cycle(a, h):
 
 
 # -- cone bookkeeping --------------------------------------------------------------
+#
+# A sector is one summand of a degree-n term, as a dict sub -> (pos, sign):
+# sub indexes the summand's own basis, pos the term's basis, and sign is the
+# Koszul sign the summand carries there.
 
 def _tindex(A, B, n):
     """(deg_A, deg_B, row_in_A, row_in_B) -> position in (A (x) B)_n."""
@@ -191,42 +195,109 @@ def _tindex(A, B, n):
     return out
 
 
+def _cone_sectors(f, n):
+    """The sectors of Cone(f)_n: the shifted source, then the target."""
+    a = f.src.term(n + 1).dim
+    return ({s: (s, 1) for s in range(a)},
+            {s: (a + s, 1) for s in range(f.tgt.term(n).dim)})
+
+
+def _sector_left(g, F, n):
+    """The sectors of (Cone(g) (x) F)_n: the shifted one indexed as
+    (G0 (x) F)_{n+1}, the plain one as (G1 (x) F)_n."""
+    C = cone(g)
+    xi = _tindex(g.src, F, n + 1)
+    yi = _tindex(g.tgt, F, n)
+    out0, out1 = {}, {}
+    for (i, j, off, _dim) in tensor_layout(C, F, n):
+        g0 = g.src.term(i + 1).dim
+        dF = F.term(j).dim
+        for p in range(C.term(i).dim):
+            for q in range(dF):
+                pos = off + p * dF + q
+                if p < g0:
+                    out0[xi[(i + 1, j, p, q)]] = (pos, 1)
+                else:
+                    out1[yi[(i, j, p - g0, q)]] = (pos, 1)
+    return out0, out1
+
+
+def _sector_right(F, g, n):
+    """The sectors of (F (x) Cone(g))_n: the shifted one indexed as
+    (F (x) G0)_{n+1}, with the braiding sign (-1)^(F-degree), the plain one
+    as (F (x) G1)_n."""
+    C = cone(g)
+    tl = {(j, i): off for (j, i, off, _d) in tensor_layout(F, C, n)}
+    out0, out1 = {}, {}
+    for (b, a, off, _dim) in tensor_layout(F, g.src, n + 1):
+        dF, dG = F.term(b).dim, g.src.term(a).dim
+        cdim = C.term(a - 1).dim
+        toff = tl[(b, a - 1)]
+        sg = (-1) ** b
+        for q in range(dF):
+            for p in range(dG):
+                out0[off + q * dG + p] = (toff + q * cdim + p, sg)
+    for (b, i, off, _dim) in tensor_layout(F, g.tgt, n):
+        dF, dG = F.term(b).dim, g.tgt.term(i).dim
+        g0 = g.src.term(i + 1).dim
+        cdim = C.term(i).dim
+        toff = tl[(b, i)]
+        for q in range(dF):
+            for p in range(dG):
+                out1[off + q * dG + p] = (toff + q * cdim + g0 + p, 1)
+    return out0, out1
+
+
+def _sector_blocks(src, tgt, degree, blocks):
+    """Components of a degree-`degree` map src -> tgt built from blocks
+    between sectors.
+
+    blocks(n) lists (M, cols, rows, s) for degree n: entry (i, j) of M
+    lands at (rows[i], cols[j]), times s and the two sector signs.  Only
+    the nonzeros of each block are visited."""
+    ring = src.alg.ring
+    comps = {}
+    for n in range(src.min_deg, src.max_deg + 1):
+        nr, nc = tgt.term(n + degree).dim, src.term(n).dim
+        if nr == 0 or nc == 0:
+            continue
+        placed = []
+        for M, cols, rows, s in blocks(n):
+            for i, row in enumerate(M.data):
+                if i not in rows:
+                    continue
+                r, sr = rows[i]
+                for j, v in row.items():
+                    if j in cols:
+                        c, sc = cols[j]
+                        placed.append(
+                            (r, c, v if s * sr * sc == 1 else ring.neg(v)))
+        comps[n] = Matrix._placed(ring, nr, nc, placed)
+    return comps
+
+
+def _sector_iso(src, tgt, sectors, inverse=False):
+    """The signed permutation src -> tgt that sends each basis vector of a
+    sector of src to its namesake in the matching sector of tgt; sectors(n)
+    lists the (src, tgt) pairs of degree n.  With inverse, its transpose
+    tgt -> src, which is its inverse."""
+    ring = src.alg.ring
+    comps = _sector_blocks(src, tgt, 0, lambda n: [
+        (Matrix.identity(ring, len(s)), s, t, 1) for s, t in sectors(n)])
+    if inverse:
+        return ChainMap(tgt, src, 0,
+                        {n: m.transpose() for n, m in comps.items()})
+    return ChainMap(src, tgt, 0, comps)
+
+
 def cone_assoc_left(g, F, inverse=False):
     """Strict iso Cone(g) (x) F -> Cone(g (x) id_F) (or its inverse).
 
     Both sides have the same summands in each degree; the identification is
     the identity on every basis vector."""
-    ring = F.alg.ring
-    C = cone(g)
-    prod = tensor(C, F)
     gi = tensor_maps(g, identity_map(F))
-    cn = cone(gi)
-    comps = {}
-    for n in range(prod.min_deg, prod.max_deg + 1):
-        dp, dc = prod.term(n).dim, cn.term(n).dim
-        if dp == 0 or dc == 0:
-            continue
-        xdim = gi.src.term(n + 1).dim
-        xi = _tindex(g.src, F, n + 1)
-        yi = _tindex(g.tgt, F, n)
-        rows, cols = (dp, dc) if inverse else (dc, dp)
-        e = [ring.zero()] * (rows * cols)
-        for (i, j, off, _dim) in tensor_layout(C, F, n):
-            g0 = g.src.term(i + 1).dim
-            dF = F.term(j).dim
-            for p in range(C.term(i).dim):
-                for q in range(dF):
-                    a = off + p * dF + q
-                    if p < g0:
-                        b = xi[(i + 1, j, p, q)]
-                    else:
-                        b = xdim + yi[(i, j, p - g0, q)]
-                    r, c = (a, b) if inverse else (b, a)
-                    e[r * cols + c] = ring.one()
-        comps[n] = Matrix(ring, rows, cols, e, _trusted=True)
-    if inverse:
-        return ChainMap(cn, prod, 0, comps)
-    return ChainMap(prod, cn, 0, comps)
+    return _sector_iso(tensor(cone(g), F), cone(gi), lambda n: zip(
+        _sector_left(g, F, n), _cone_sectors(gi, n)), inverse)
 
 
 def cone_assoc_right(F, g, inverse=False):
@@ -235,51 +306,21 @@ def cone_assoc_right(F, g, inverse=False):
     The shifted summand picks up the sign (-1)^(F-degree): moving the
     suspension past the left tensor factor costs one braiding per odd
     degree."""
-    ring = F.alg.ring
-    C = cone(g)
-    prod = tensor(F, C)
     ig = tensor_maps(identity_map(F), g)
-    cn = cone(ig)
-    comps = {}
-    for n in range(prod.min_deg, prod.max_deg + 1):
-        dp, dc = prod.term(n).dim, cn.term(n).dim
-        if dp == 0 or dc == 0:
-            continue
-        xdim = ig.src.term(n + 1).dim
-        rows, cols = (dc, dp) if inverse else (dp, dc)
-        e = [ring.zero()] * (rows * cols)
-        tl = {(j, i): off for (j, i, off, _d) in tensor_layout(F, C, n)}
-        for (b, a, off, _dim) in tensor_layout(F, g.src, n + 1):
-            i = a - 1
-            dF, dG = F.term(b).dim, g.src.term(a).dim
-            cdim = C.term(i).dim
-            toff = tl.get((b, i))
-            if toff is None:
-                continue
-            sgn = ring.coerce((-1) ** b)
-            for q in range(dF):
-                for p in range(dG):
-                    s = off + q * dG + p
-                    t = toff + q * cdim + p
-                    r, c = (s, t) if inverse else (t, s)
-                    e[r * cols + c] = sgn
-        for (b, i, off, _dim) in tensor_layout(F, g.tgt, n):
-            dF, dG = F.term(b).dim, g.tgt.term(i).dim
-            g0 = g.src.term(i + 1).dim
-            cdim = C.term(i).dim
-            toff = tl.get((b, i))
-            if toff is None:
-                continue
-            for q in range(dF):
-                for p in range(dG):
-                    s = xdim + off + q * dG + p
-                    t = toff + q * cdim + g0 + p
-                    r, c = (s, t) if inverse else (t, s)
-                    e[r * cols + c] = ring.one()
-        comps[n] = Matrix(ring, rows, cols, e, _trusted=True)
-    if inverse:
-        return ChainMap(prod, cn, 0, comps)
-    return ChainMap(cn, prod, 0, comps)
+    return _sector_iso(cone(ig), tensor(F, cone(g)), lambda n: zip(
+        _cone_sectors(ig, n), _sector_right(F, g, n)), inverse)
+
+
+def _cone_square(top, bottom, left, right, corner):
+    """The map Cone(top) -> Cone(bottom) with blocks [[left, 0],
+    [corner, right]] in cone coordinates; its equation is the caller's."""
+    Ct, Cb = cone(top), cone(bottom)
+
+    def blocks(n):
+        (t0, t1), (b0, b1) = _cone_sectors(top, n), _cone_sectors(bottom, n)
+        return [(left.comp(n + 1), t0, b0, 1), (corner.comp(n + 1), t0, b1, 1),
+                (right.comp(n), t1, b1, 1)]
+    return ChainMap(Ct, Cb, 0, _sector_blocks(Ct, Cb, 0, blocks))
 
 
 def cone_square_map(top, bottom, left, right, corner):
@@ -290,29 +331,7 @@ def cone_square_map(top, bottom, left, right, corner):
     [[left, 0], [corner, right]] in cone coordinates."""
     rhs = right.compose(top) - bottom.compose(left)
     _require_equation(corner, rhs, "corner")
-    ring = top.src.alg.ring
-    Ct, Cb = cone(top), cone(bottom)
-    comps = {}
-    for n in range(Ct.min_deg, Ct.max_deg + 1):
-        rows, cols = Cb.term(n).dim, Ct.term(n).dim
-        if rows == 0 or cols == 0:
-            continue
-        a = top.src.term(n + 1).dim
-        c = bottom.src.term(n + 1).dim
-        L = left.comp(n + 1)
-        R = right.comp(n)
-        H = corner.comp(n + 1)
-        e = [ring.zero()] * (rows * cols)
-        for r in range(c):
-            for q in range(a):
-                e[r * cols + q] = L[r, q]
-        for r in range(bottom.tgt.term(n).dim):
-            for q in range(a):
-                e[(c + r) * cols + q] = H[r, q]
-            for q in range(top.tgt.term(n).dim):
-                e[(c + r) * cols + (a + q)] = R[r, q]
-        comps[n] = Matrix(ring, rows, cols, e, _trusted=True)
-    return ChainMap(Ct, Cb, 0, comps)
+    return _cone_square(top, bottom, left, right, corner)
 
 
 def cone_commuting_map(g, F, phi0=None, phi1=None, k=None):
@@ -331,100 +350,21 @@ def cone_commuting_map(g, F, phi0=None, phi1=None, k=None):
         inner).compose(cone_assoc_left(g, F))
 
 
-def _sector_left(g, F, n):
-    """Positions of the two cone sectors inside (Cone(g) (x) F)_n.
-
-    Returns (sub -> pos) for the shifted sector (sub indexing
-    (G0 (x) F)_{n+1}) and for the plain sector (sub indexing (G1 (x) F)_n)."""
-    C = cone(g)
-    xi = _tindex(g.src, F, n + 1)
-    yi = _tindex(g.tgt, F, n)
-    out0, out1 = {}, {}
-    for (i, j, off, _dim) in tensor_layout(C, F, n):
-        g0 = g.src.term(i + 1).dim
-        dF = F.term(j).dim
-        for p in range(C.term(i).dim):
-            for q in range(dF):
-                pos = off + p * dF + q
-                if p < g0:
-                    out0[xi[(i + 1, j, p, q)]] = pos
-                else:
-                    out1[yi[(i, j, p - g0, q)]] = pos
-    return out0, out1
-
-
-def _sector_right(F, g, n):
-    """Positions and signs of the cone sectors inside (F (x) Cone(g))_n.
-
-    Returns (sub -> (pos, sign)); the shifted sector carries the braiding
-    sign (-1)^(F-degree), matching cone_assoc_right."""
-    C = cone(g)
-    tl = {(j, i): off for (j, i, off, _d) in tensor_layout(F, C, n)}
-    out0, out1 = {}, {}
-    for (b, a, off, _dim) in tensor_layout(F, g.src, n + 1):
-        i = a - 1
-        dF, dG = F.term(b).dim, g.src.term(a).dim
-        cdim = C.term(i).dim
-        toff = tl.get((b, i))
-        if toff is None:
-            continue
-        sg = (-1) ** b
-        for q in range(dF):
-            for p in range(dG):
-                out0[off + q * dG + p] = (toff + q * cdim + p, sg)
-    for (b, i, off, _dim) in tensor_layout(F, g.tgt, n):
-        dF, dG = F.term(b).dim, g.tgt.term(i).dim
-        g0 = g.src.term(i + 1).dim
-        cdim = C.term(i).dim
-        toff = tl.get((b, i))
-        if toff is None:
-            continue
-        for q in range(dF):
-            for p in range(dG):
-                out1[off + q * dG + p] = (toff + q * cdim + g0 + p, 1)
-    return out0, out1
-
-
 def _outer_corner(g, F0, F1, h0, h1, l):
     """Corner homotopy Cone(g) (x) F0 -> F1 (x) Cone(g) of the outer square.
 
     Sector blocks are -h0 (shifted to shifted), -l (shifted to plain) and
     h1 (plain to plain); the sign on h0 counteracts the suspension of the
     source sector."""
-    ring = F0.alg.ring
     src = tensor(cone(g), F0)
     tgt = tensor(F1, cone(g))
-    comps = {}
-    zr = ring.zero()
-    for n in range(src.min_deg, src.max_deg + 1):
-        rows, cols = tgt.term(n - 1).dim, src.term(n).dim
-        if rows == 0 or cols == 0:
-            continue
+
+    def blocks(n):
         c0, c1 = _sector_left(g, F0, n)
         r0, r1 = _sector_right(F1, g, n - 1)
-        e = [zr] * (rows * cols)
-        M = h0.comp(n + 1)
-        for sc, gc in c0.items():
-            for sr, (gr, sg) in r0.items():
-                v = M[sr, sc]
-                if v != zr:
-                    e[gr * cols + gc] = v * ring.coerce(-sg)
-        L = l.comp(n + 1)
-        for sc, gc in c0.items():
-            for sr, (gr, sg) in r1.items():
-                v = L[sr, sc]
-                if v != zr:
-                    e[gr * cols + gc] = v * ring.coerce(-sg)
-        M1 = h1.comp(n)
-        for sc, gc in c1.items():
-            for sr, (gr, sg) in r1.items():
-                v = M1[sr, sc]
-                if v != zr:
-                    e[gr * cols + gc] = v * ring.coerce(sg)
-        m = Matrix(ring, rows, cols, e, _trusted=True)
-        if not m.is_zero():
-            comps[n] = m
-    return Homotopy(src, tgt, -1, comps)
+        return [(h0.comp(n + 1), c0, r0, -1), (l.comp(n + 1), c0, r1, -1),
+                (h1.comp(n), c1, r1, 1)]
+    return Homotopy(src, tgt, -1, _sector_blocks(src, tgt, -1, blocks))
 
 
 def strict_iso_verdict(psi):
@@ -525,90 +465,39 @@ def _assemble_m(g, h, k):
     """Null-homotopy candidate for g (x) id_Cone(g) from the proof diagram:
     braiding block into the shifted sector, h into the plain sector, -k on
     the long diagonal."""
-    ring = g.src.alg.ring
-    lam = g.src
-    F = g.tgt
-    C = cone(g)
-    src = tensor(lam, C)
-    tgt = tensor(F, C)
+    lam, F = g.src, g.tgt
+    src = tensor(lam, cone(g))
+    tgt = tensor(F, cone(g))
     tau = swap(lam, F)
-    zr = ring.zero()
-    comps = {}
-    for n in range(src.min_deg, src.max_deg + 1):
-        rows, cols = tgt.term(n - 1).dim, src.term(n).dim
-        if rows == 0 or cols == 0:
-            continue
+
+    def blocks(n):
         c0, c1 = _sector_right(lam, g, n)
         r0, r1 = _sector_right(F, g, n - 1)
-        e = [zr] * (rows * cols)
-        for (M, cmap, rmap, s, use_row_sign) in (
-                (tau.comp(n), c1, r0, 1, True),
-                (h.comp(n), c1, r1, 1, False),
-                (k.comp(n + 1), c0, r1, -1, False)):
-            for sc, (gc, sgc) in cmap.items():
-                for sr, (gr, sgr) in rmap.items():
-                    v = M[sr, sc]
-                    if v != zr:
-                        sgn = s * (sgr if use_row_sign else 1) * sgc
-                        e[gr * cols + gc] = e[gr * cols + gc] \
-                            + v * ring.coerce(sgn)
-        m = Matrix(ring, rows, cols, e, _trusted=True)
-        if not m.is_zero():
-            comps[n] = m
-    return Homotopy(src, tgt, -1, comps)
+        return [(tau.comp(n), c1, r0, 1), (h.comp(n), c1, r1, 1),
+                (k.comp(n + 1), c0, r1, -1)]
+    return Homotopy(src, tgt, -1, _sector_blocks(src, tgt, -1, blocks))
 
 
 def cone_collapse_map(f, m):
     """Strict iso Cone(f) -> Cone(0) from a null-homotopy m of f
     ([d, m] = f): blocks [[id, 0], [m, id]]."""
-    ring = f.src.alg.ring
-    Cn = cone(f)
-    Cz = cone(zero_map(f.src, f.tgt))
-    zr = ring.zero()
-    comps = {}
-    for n in range(Cn.min_deg, Cn.max_deg + 1):
-        rows, cols = Cz.term(n).dim, Cn.term(n).dim
-        if rows == 0 or cols == 0:
-            continue
-        a = f.src.term(n + 1).dim
-        e = [zr] * (rows * cols)
-        for r in range(a):
-            e[r * cols + r] = ring.one()
-        M = m.comp(n + 1)
-        for r in range(f.tgt.term(n).dim):
-            for q in range(a):
-                v = M[r, q]
-                if v != zr:
-                    e[(a + r) * cols + q] = v
-            e[(a + r) * cols + (a + r)] = ring.one()
-        comps[n] = Matrix(ring, rows, cols, e, _trusted=True)
-    return ChainMap(Cn, Cz, 0, comps)
+    return _cone_square(f, zero_map(f.src, f.tgt), identity_map(f.src),
+                        identity_map(f.tgt), m)
 
 
 def _collapse_distribute(g, C):
     """Strict iso Cone(0: lam (x) C -> F (x) C) -> (F (+) lam[1]) (x) C."""
-    ring = g.src.alg.ring
     lam, F = g.src, g.tgt
     z0 = zero_map(tensor(lam, C), tensor(F, C))
-    Cz = cone(z0)
     FS = direct_sum(F, shift(lam, 1))
-    tg = tensor(FS, C)
-    zr = ring.zero()
-    comps = {}
-    for n in range(Cz.min_deg, Cz.max_deg + 1):
-        rows, cols = tg.term(n).dim, Cz.term(n).dim
-        if rows == 0 or cols == 0:
-            continue
-        xdim = z0.src.term(n + 1).dim
-        e = [zr] * (rows * cols)
+
+    def sectors(n):
         ti = _tindex(FS, C, n)
-        for (i, j, p, q), pos in _tindex(lam, C, n + 1).items():
-            fdim = F.term(i - 1).dim
-            e[ti[(i - 1, j, fdim + p, q)] * cols + pos] = ring.one()
-        for (i, j, p, q), pos in _tindex(F, C, n).items():
-            e[ti[(i, j, p, q)] * cols + (xdim + pos)] = ring.one()
-        comps[n] = Matrix(ring, rows, cols, e, _trusted=True)
-    return ChainMap(Cz, tg, 0, comps)
+        shifted = {pos: (ti[(i - 1, j, F.term(i - 1).dim + p, q)], 1)
+                   for (i, j, p, q), pos in _tindex(lam, C, n + 1).items()}
+        plain = {pos: (ti[key], 1) for key, pos in _tindex(F, C, n).items()}
+        return zip(_cone_sectors(z0, n), (shifted, plain))
+    return _sector_iso(cone(z0), tensor(FS, C), sectors)
 
 
 def self_obstruction_consequence(a, certificate):

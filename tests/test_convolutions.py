@@ -57,11 +57,6 @@ class TestPoset:
                   {("a", "b"), ("a", "c"), ("a", "d"), ("b", "d"), ("c", "d")})
         assert p.linear_extension() == ["a", "b", "c", "d"]
 
-    def test_convexity(self):
-        p = Poset([0, 1, 2], {(0, 1), (1, 2), (0, 2)})
-        assert p.is_convex([0, 1])
-        assert not p.is_convex([0, 2])
-
 
 class TestValidateAndTot:
     def test_cone_as_twisted_matches_cone(self):

@@ -10,7 +10,6 @@ from homocat.interpolation import TruncationWindow, build_P
 from homocat.diagonalize import (
     verify_orthogonality, verify_idempotence,
     verify_decomposition_of_identity, tightness_spot_check,
-    compare_idempotents,
 )
 
 from test_complexes import worked_example
@@ -95,18 +94,3 @@ class TestTightness:
         v = tightness_spot_check([ea, eb], [Pb, Pa], [atom(A), atom(one)])
         assert v.status == FAIL
         assert "biconditional" in v.reason
-
-
-class TestCompareIdempotents:
-    def test_projector_below_unit(self, setup):
-        _, _, one, _, _, _, Pb = setup
-        assert compare_idempotents(Pb, atom(one)) == "<="
-        assert compare_idempotents(atom(one), Pb) == ">="
-
-    def test_orthogonal_pair_incomparable(self, setup):
-        _, _, _, _, _, Pa, Pb = setup
-        assert compare_idempotents(Pa, Pb) == "incomparable"
-
-    def test_reflexive(self, setup):
-        _, _, _, _, _, Pa, _ = setup
-        assert compare_idempotents(Pa, Pa) == "equal"

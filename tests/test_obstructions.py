@@ -18,7 +18,10 @@ from homocat.obstructions import (
     self_obstruction_certificate, self_obstruction_consequence,
     certificate_to_json, certificate_from_json,
 )
-from homocat.obstructions import _commutation_defect
+from homocat.obstructions import (
+    _commutation_defect, cone_assoc_left, cone_assoc_right,
+)
+from homocat.cli import cyclic_scenario
 from test_complexes import worked_example, F2, Z
 
 
@@ -218,6 +221,35 @@ class TestConesCommute:
             cones_commute_equivalence(al, be, stripped)
 
 
+def is_signed_permutation(m):
+    units = {m.ring.coerce(1), m.ring.coerce(-1)}
+    return (m.rows == m.cols
+            and all(len(r) == 1 and set(r.values()) <= units for r in m.data)
+            and sorted(j for r in m.data for j in r) == list(range(m.cols)))
+
+
+class TestConeAssociators:
+    """The associators only re-index basis vectors and change signs: every
+    component is a signed permutation, and the inverse form undoes the
+    forward one on both sides."""
+
+    @pytest.mark.parametrize("ring, m", [(F2, 2), (F2, 4), (Z, 2), (Z, 3)])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_signed_permutations_with_two_sided_inverse(self, ring, m, which):
+        _, _, _, F, ea, eb = cyclic_scenario(ring, m)
+        g = (ea, eb)[which].map
+        for X in (F, cone(g)):
+            for fwd, inv in ((cone_assoc_left(g, X),
+                              cone_assoc_left(g, X, inverse=True)),
+                             (cone_assoc_right(X, g),
+                              cone_assoc_right(X, g, inverse=True))):
+                assert maps_equal(inv.compose(fwd), identity_map(fwd.src))
+                assert maps_equal(fwd.compose(inv), identity_map(fwd.tgt))
+                for f in (fwd, inv):
+                    assert all(is_signed_permutation(f.comp(d))
+                               for d in f.src.degrees())
+
+
 class TestSelfObstruction:
     @pytest.mark.parametrize("ring", [F2, Z])
     @pytest.mark.parametrize("which", [0, 1])
@@ -241,7 +273,7 @@ class TestSelfObstruction:
             if rows and cols:
                 e = [F2.zero()] * (rows * cols)
                 e[0] = F2.one()
-                noise = {d: Matrix(F2, rows, cols, e, _trusted=True)}
+                noise = {d: Matrix(F2, rows, cols, e)}
                 break
         assert noise is not None
         bad_k = k + Homotopy(k.src, k.tgt, -2, noise)

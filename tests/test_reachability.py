@@ -31,14 +31,8 @@ KEEP = {
     "interpolation.truncated_from_json": "witness export, ROADMAP item 3",
     "obstructions.certificate_to_json": "witness export, ROADMAP item 3",
     "obstructions.certificate_from_json": "witness export, ROADMAP item 3",
-    "diagonalize.compare_idempotents":
-        "ROADMAP item 5: left for a later deletion with its tests",
-    "interpolation.default_window":
-        "ROADMAP item 5: left for a later deletion with its tests",
-    "interpolation.rho":
-        "ROADMAP item 5: left for a later deletion with its tests",
-    "convolutions.Poset.is_convex":
-        "ROADMAP item 5: left for a later deletion with its tests",
+    "complexes.homotopy_inverse":
+        "perfbench/tracer.py LAYERS names it; tests call it",
     "exactlinalg.Matrix.col": "only tests call them",
     "exactlinalg.Matrix.is_identity": "only tests call them",
 }
