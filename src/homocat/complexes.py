@@ -7,6 +7,8 @@ linear algebra: homotopies are sought in intertwiner coordinates and solved
 over the ground ring (Diophantine-exact over Z).
 """
 
+import heapq
+
 from .exactlinalg import (
     Matrix, IntegerRingUnsupported, rref, solve, kernel, snf,
     matrix_to_json, matrix_from_json, _stack,
@@ -781,28 +783,62 @@ def _cols(m, idx):
     return m.submatrix(range(m.rows), idx)
 
 
+def _times(p, vec, m):
+    """The row vector ``vec`` ({index: value}) times the matrix whose rows
+    are the dicts ``m``."""
+    acc = {}
+    for l, v in vec.items():
+        for k, w in m[l].items():
+            acc[k] = acc.get(k, 0) + v * w
+    return ({k: w % p for k, w in acc.items() if w % p} if p
+            else {k: w for k, w in acc.items() if w})
+
+
+def _subtract(p, row, terms, r=None, at=None):
+    """row -= f * other for each (f, other) of ``terms``, in place.  With an
+    index ``at`` (column -> row ids), row id r is added to or discarded from
+    the columns whose entry appears or vanishes."""
+    for f, other in terms:
+        for j, v in other.items():
+            w = row.get(j, 0) - f * v
+            if p:
+                w %= p
+            if w:
+                if at is not None and j not in row:
+                    at[j].add(r)
+                row[j] = w
+            else:  # f * v is nonzero, so the entry was there
+                del row[j]
+                if at is not None:
+                    at[j].discard(r)
+
+
 def minimize(c, retract=True):
     """Gaussian-eliminate invertible differential blocks, keeping a strong
     deformation retract (incl, proj, h) onto the minimal complex.
 
-    One forward sweep over the degrees of the split complex: in degree d the
-    first invertible block pair (lexicographic; only nonzero blocks between
-    equal tags, since an invertible intertwiner joins isomorphic summands)
-    is cancelled, d_d becomes its Schur complement, and the search in d
-    starts again.  Over F_p with p = (x - 1)^m, blocks that fail
-    _unit_at_one are not solved for an inverse.  Within a degree rows and
-    columns keep their indices, so a cancellation rewrites only the rows
-    with an entry in the cancelled columns; the cancelled rows and columns
-    are dropped once the degree is done.  Cancelling in degree d only
-    deletes rows of d_{d-1}, so a finished degree never gains an invertible
-    pair.  With retract=False the retract data is not accumulated (incl,
-    proj and h come back as None); it is the larger part of the cost on
-    large complexes, so callers that only need the minimal model should opt
-    out.
+    One forward sweep over the degrees of the split complex.  In degree d
+    the pivot source block is the one whose columns of d_d hold the fewest
+    nonzeros (Markowitz's rule; ties go to the lowest index), and its
+    target is the first nonzero block with an equal tag (an invertible
+    intertwiner joins isomorphic summands) that has an inverse.  Over F_p
+    with p = (x - 1)^m, blocks that fail _unit_at_one are not solved for an
+    inverse.  The pair is cancelled and d_d replaced by its Schur complement
+    in place: only the rows with an entry in the cancelled columns change,
+    entry by entry, and the search in d goes on until no block pair is
+    invertible.  A source block with no invertible target is tried again
+    only once a cancellation changes its columns.  Cancelled rows and
+    columns are dropped once the degree is done.  Cancelling in degree d
+    only deletes rows of d_{d-1}, so a finished degree never gains an
+    invertible pair.  The retract follows the same pivots: incl changes in
+    the rows with an entry in the cancelled columns, proj in the rows the
+    Schur complement changes.  With retract=False the retract data is not
+    accumulated (incl, proj and h come back as None).
     """
     sp = split_complex(c)
     lo = c.min_deg
     ring = c.alg.ring
+    p = ring.p
     unit_test = ring.kind == "fp" and is_local(c.alg)
     xs = [t.x_action for t in sp.conj.terms]
     diffs = list(sp.conj.diffs)
@@ -814,60 +850,85 @@ def minimize(c, retract=True):
     del sp  # frees each split matrix as soon as the sweep replaces it
     for i in range(len(diffs)):
         nrows, ncols = diffs[i].rows, diffs[i].cols
-        rows = list(diffs[i].data)  # replaced, never changed in place
+        rows = [dict(r) for r in diffs[i].data]
         at = [set(col) for col in diffs[i].transpose().data]  # col -> rows
         src, tgt = list(_spans(blocks[i])), list(_spans(blocks[i + 1]))
         owner = [ti for ti, (_, t) in enumerate(tgt) for _ in t]
+        col_owner = [si for si, (_, s) in enumerate(src) for _ in s]
         alive = [[True] * len(src), [True] * len(tgt)]
+        if retract:
+            inc = [dict(r) for r in incl[i].data]
+            iat = [set(col) for col in incl[i].transpose().data]
+            prj = list(proj[i + 1].data)  # rows are replaced, not changed
+            hk = {}
 
-        def block(rs, s):  # rows rs, columns s counted from s.start
-            return Matrix._of(ring, len(rs), len(s), (
-                {j - s.start: v for j, v in rows[r].items() if j in s}
-                for r in rs))
+        def nonzeros(si):
+            return sum(len(at[j]) for j in src[si][1])
 
-        def without(rs, s):  # rows rs, every column but s
-            return Matrix._of(ring, len(rs), ncols, (
-                {j: v for j, v in rows[r].items() if j not in s}
-                for r in rs))
-
-        def first_invertible_pair():
-            for si, (stag, s) in enumerate(src):
-                if alive[0][si]:
-                    for ti in sorted({owner[r] for j in s for r in at[j]}):
-                        ttag, t = tgt[ti]
-                        if ttag != stag or unit_test and not _unit_at_one(
-                                ring, (rows[r].get(s.start, 0) for r in t)):
-                            continue
-                        ainv = solve(block(t, s),
-                                     Matrix.identity(ring, len(s)))
-                        if ainv is not None:
-                            return si, ti, ainv
+        def invertible_target(si):
+            stag, s = src[si]
+            for ti in sorted({owner[r] for j in s for r in at[j]}):
+                ttag, t = tgt[ti]
+                if ttag != stag or unit_test and not _unit_at_one(
+                        ring, (rows[r].get(s.start, 0) for r in t)):
+                    continue
+                ainv = solve(Matrix._of(ring, len(t), len(s), (
+                    {j - s.start: v for j, v in rows[r].items() if j in s}
+                    for r in t)), Matrix.identity(ring, len(s)))
+                if ainv is not None:
+                    return ti, ainv.data
             return None
 
-        while (pair := first_invertible_pair()) is not None:
-            si, ti, ainv = pair
+        heap = [(n, si) for si in range(len(src)) if (n := nonzeros(si))]
+        heapq.heapify(heap)
+        failed = set()
+        while heap:
+            n, si = heapq.heappop(heap)
+            if not alive[0][si] or si in failed or n != nonzeros(si):
+                continue
+            pair = invertible_target(si)
+            if pair is None:
+                failed.add(si)
+                continue
+            ti, ainv = pair
             s, t = src[si][1], tgt[ti][1]
             alive[0][si] = alive[1][ti] = False
-            gam = sorted({r for j in s for r in at[j]}.difference(t))
-            beta = without(t, s)
-            gamma_ainv = block(gam, s) * ainv
-            schur = without(gam, s) - gamma_ainv * beta
-            for r, new in [(r, {}) for r in t] + list(zip(gam, schur.data)):
+            gam = {r for j in s for r in at[j]}.difference(t)
+            beta = [{j: v for j, v in rows[r].items() if j not in s}
+                    for r in t]
+            touched = {col_owner[j] for b in beta for j in b}
+            for r in t:
                 for j in rows[r]:
                     at[j].discard(r)
-                rows[r] = new
-                for j in new:
-                    at[j].add(r)
+                rows[r] = {}
+            for r in gam:
+                row = rows[r]
+                ga = _times(p, {j - s.start: row.pop(j) for j in s
+                                if j in row}, ainv)
+                _subtract(p, row, [(f, beta[k]) for k, f in ga.items()],
+                          r, at)
+                if retract:
+                    prj[r] = dict(prj[r])
+                    _subtract(p, prj[r],
+                              [(f, prj[t[k]]) for k, f in ga.items()])
+            for j in s:
+                at[j] = set()
             if retract:
-                incl_s = _cols(incl[i], s)
-                proj_t = _rows(proj[i + 1], t)
-                step = incl_s * ainv * proj_t
-                k = lo + i + 1
-                h[k] = h[k] + step if k in h else step
-                incl[i] = incl[i] - incl_s * (ainv * beta)
-                ga = dict(zip(gam, gamma_ainv.data))
-                proj[i + 1] = proj[i + 1] - Matrix._of(ring, nrows, len(s), (
-                    ga.get(r, {}) for r in range(nrows))) * proj_t
+                for q in set().union(*(iat[j] for j in s)):
+                    row = inc[q]
+                    u = _times(p, {j - s.start: row.pop(j) for j in s
+                                   if j in row}, ainv)
+                    _subtract(p, row, [(f, beta[k]) for k, f in u.items()],
+                              q, iat)
+                    _subtract(p, hk.setdefault(q, {}),
+                              [(ring.neg(f), prj[t[k]])
+                               for k, f in u.items()])
+                for j in s:
+                    iat[j] = set()
+            for sb in touched:
+                if alive[0][sb]:
+                    failed.discard(sb)
+                    heapq.heappush(heap, (nonzeros(sb), sb))
         keep = [[j for (_, s), a in zip(spans, alv) if a for j in s]
                 for spans, alv in zip((src, tgt), alive)]
         diffs[i] = Matrix._of(ring, nrows, ncols, rows).submatrix(
@@ -876,6 +937,13 @@ def minimize(c, retract=True):
             diffs[i - 1] = _rows(diffs[i - 1], keep[0])
         if i + 1 < len(diffs):
             diffs[i + 1] = _cols(diffs[i + 1], keep[1])
+        if retract:
+            if not all(alive[0]):
+                h[lo + i + 1] = Matrix._of(
+                    ring, incl[i].rows, proj[i + 1].cols,
+                    (hk.get(q, {}) for q in range(incl[i].rows)))
+            incl[i] = Matrix._of(ring, incl[i].rows, ncols, inc)
+            proj[i + 1] = Matrix._of(ring, nrows, proj[i + 1].cols, prj)
         for j, kp, alv in zip((i, i + 1), keep, alive):
             xs[j] = xs[j].submatrix(kp, kp)
             blocks[j] = [b for b, a in zip(blocks[j], alv) if a]

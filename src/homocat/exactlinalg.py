@@ -407,10 +407,14 @@ def _reduce(ring, rows, ncols):
 
     Columns ``0 .. ncols-1`` are taken in order.  The pivot is a unit (any
     nonzero over a field, +-1 over Z) in the sparsest live row that has
-    one; it is scaled to 1 and cleared from every other row.  Over Z a
-    column whose live entries are all non-units is deferred.  Entries in
-    columns ``>= ncols`` ride along (right-hand sides).  The rows are
-    copied, so a matrix's ``data`` can be passed as it is.
+    one, the lowest row first among equals; it is scaled to 1 and cleared
+    from every other row.  Over Z a column whose live entries are all
+    non-units is deferred.  Entries in columns ``>= ncols`` ride along
+    (right-hand sides).  A column -> row ids index of the columns not yet
+    taken lets the pivot search and the clearing visit only the rows with
+    an entry in the pivot column; a column leaves the index when it is
+    taken.  The rows are copied, so a matrix's ``data`` can be passed as
+    it is.
 
     Returns ``(pivots, prows, rest)``: the pivot columns, their rows, and
     the nonzero rows left without a pivot.  Over a field the pivot rows are
@@ -421,37 +425,54 @@ def _reduce(ring, rows, ncols):
     """
     p = ring.p
     integral = not ring.is_field
-    live = [dict(r) for r in rows if r]
-    pivots, prows = [], []
+    rows = [dict(r) for r in rows if r]
+    at = {}  # column below ncols -> ids of the rows that have, or had, it
+    for i, r in enumerate(rows):
+        for j in r:
+            if j < ncols:
+                at.setdefault(j, []).append(i)
+    pivots, prows, done = [], [], set()
     for c in range(ncols):
+        ids = at.pop(c, None)  # the column is done after this step
+        if ids is None:
+            continue
         best = None
-        for i, r in enumerate(live):
-            v = r.get(c)
-            if v is not None and (not integral or v == 1 or v == -1) \
-                    and (best is None or len(r) < len(live[best])):
+        for i in ids:
+            v = rows[i].get(c)
+            if v is not None and i not in done \
+                    and (not integral or v == 1 or v == -1) \
+                    and (best is None or (len(rows[i]), i)
+                         < (len(rows[best]), best)):
                 best = i
         if best is None:
             continue
-        prow = live.pop(best)
+        prow = rows[best]
         inv = ring.inv(prow[c])
         if inv != 1:
-            prow = {j: ring.mul(inv, v) for j, v in prow.items()}
-        for rows_ in (prows, live):
-            for r in rows_:
-                f = r.get(c)
-                if f is None:
-                    continue
-                for j, v in prow.items():
-                    w = r.get(j, 0) - f * v
+            prow = rows[best] = {j: ring.mul(inv, v) for j, v in prow.items()}
+        for i in ids:
+            r = rows[i]
+            f = r.get(c)
+            if f is None or i == best:
+                continue
+            for j, v in prow.items():
+                if j in r:
+                    w = r[j] - f * v
                     if p:
                         w %= p
                     if w:
                         r[j] = w
                     else:
                         del r[j]
+                else:
+                    r[j] = -f * v % p if p else -f * v
+                    if c < j < ncols:
+                        at.setdefault(j, []).append(i)
+        done.add(best)
         pivots.append(c)
         prows.append(prow)
-    return pivots, prows, [r for r in live if r]
+    return pivots, prows, [r for i, r in enumerate(rows)
+                           if r and i not in done]
 
 
 def rref(m):

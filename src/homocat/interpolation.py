@@ -746,7 +746,9 @@ def verify_eigenaction(maps, i, w, certificates=None,
     """Periodicity against the scalar quotient on each truncated factor: the
     two induced maps into F (x) C must differ by a boundary on the stable
     window, at the given depth and at depth + 2.  zero_quotient replaces the
-    periodicity map by zero: the comparison must then fail."""
+    periodicity map by zero: the comparison must then fail.  A PASS carries
+    {j: h}, the null-homotopy of the difference at the given depth for each
+    compared j."""
     gate = _certs_verdict(maps, i, certificates)
     if gate is not None:
         return gate
@@ -779,8 +781,10 @@ def verify_eigenaction(maps, i, w, certificates=None,
         clo, chi = window_bounds(C, wk, direction)
         return v, (restrict(C, clo, chi), clo, chi)
 
+    witness = {}
     for jj in js:
         v = _stable(lambda wk, _j=jj: run_one(_j, wk), w)
         if not v.passed:
             return v
-    return Verdict(PASS)
+        witness[jj] = v.witness
+    return Verdict(PASS, witness=witness)

@@ -202,10 +202,9 @@ def _cone_sectors(f, n):
             {s: (a + s, 1) for s in range(f.tgt.term(n).dim)})
 
 
-def _sector_left(g, F, n):
-    """The sectors of (Cone(g) (x) F)_n: the shifted one indexed as
+def _sector_left(g, C, F, n):
+    """The sectors of (C (x) F)_n, C = Cone(g): the shifted one indexed as
     (G0 (x) F)_{n+1}, the plain one as (G1 (x) F)_n."""
-    C = cone(g)
     xi = _tindex(g.src, F, n + 1)
     yi = _tindex(g.tgt, F, n)
     out0, out1 = {}, {}
@@ -222,11 +221,10 @@ def _sector_left(g, F, n):
     return out0, out1
 
 
-def _sector_right(F, g, n):
-    """The sectors of (F (x) Cone(g))_n: the shifted one indexed as
+def _sector_right(F, g, C, n):
+    """The sectors of (F (x) C)_n, C = Cone(g): the shifted one indexed as
     (F (x) G0)_{n+1}, with the braiding sign (-1)^(F-degree), the plain one
     as (F (x) G1)_n."""
-    C = cone(g)
     tl = {(j, i): off for (j, i, off, _d) in tensor_layout(F, C, n)}
     out0, out1 = {}, {}
     for (b, a, off, _dim) in tensor_layout(F, g.src, n + 1):
@@ -296,8 +294,9 @@ def cone_assoc_left(g, F, inverse=False):
     Both sides have the same summands in each degree; the identification is
     the identity on every basis vector."""
     gi = tensor_maps(g, identity_map(F))
-    return _sector_iso(tensor(cone(g), F), cone(gi), lambda n: zip(
-        _sector_left(g, F, n), _cone_sectors(gi, n)), inverse)
+    C = cone(g)
+    return _sector_iso(tensor(C, F), cone(gi), lambda n: zip(
+        _sector_left(g, C, F, n), _cone_sectors(gi, n)), inverse)
 
 
 def cone_assoc_right(F, g, inverse=False):
@@ -307,8 +306,9 @@ def cone_assoc_right(F, g, inverse=False):
     suspension past the left tensor factor costs one braiding per odd
     degree."""
     ig = tensor_maps(identity_map(F), g)
-    return _sector_iso(cone(ig), tensor(F, cone(g)), lambda n: zip(
-        _cone_sectors(ig, n), _sector_right(F, g, n)), inverse)
+    C = cone(g)
+    return _sector_iso(cone(ig), tensor(F, C), lambda n: zip(
+        _cone_sectors(ig, n), _sector_right(F, g, C, n)), inverse)
 
 
 def _cone_square(top, bottom, left, right, corner):
@@ -356,12 +356,13 @@ def _outer_corner(g, F0, F1, h0, h1, l):
     Sector blocks are -h0 (shifted to shifted), -l (shifted to plain) and
     h1 (plain to plain); the sign on h0 counteracts the suspension of the
     source sector."""
-    src = tensor(cone(g), F0)
-    tgt = tensor(F1, cone(g))
+    C = cone(g)
+    src = tensor(C, F0)
+    tgt = tensor(F1, C)
 
     def blocks(n):
-        c0, c1 = _sector_left(g, F0, n)
-        r0, r1 = _sector_right(F1, g, n - 1)
+        c0, c1 = _sector_left(g, C, F0, n)
+        r0, r1 = _sector_right(F1, g, C, n - 1)
         return [(h0.comp(n + 1), c0, r0, -1), (l.comp(n + 1), c0, r1, -1),
                 (h1.comp(n), c1, r1, 1)]
     return Homotopy(src, tgt, -1, _sector_blocks(src, tgt, -1, blocks))
@@ -466,13 +467,14 @@ def _assemble_m(g, h, k):
     braiding block into the shifted sector, h into the plain sector, -k on
     the long diagonal."""
     lam, F = g.src, g.tgt
-    src = tensor(lam, cone(g))
-    tgt = tensor(F, cone(g))
+    C = cone(g)
+    src = tensor(lam, C)
+    tgt = tensor(F, C)
     tau = swap(lam, F)
 
     def blocks(n):
-        c0, c1 = _sector_right(lam, g, n)
-        r0, r1 = _sector_right(F, g, n - 1)
+        c0, c1 = _sector_right(lam, g, C, n)
+        r0, r1 = _sector_right(F, g, C, n - 1)
         return [(tau.comp(n), c1, r0, 1), (h.comp(n), c1, r1, 1),
                 (k.comp(n + 1), c0, r1, -1)]
     return Homotopy(src, tgt, -1, _sector_blocks(src, tgt, -1, blocks))

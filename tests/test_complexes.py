@@ -1,13 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homocat.exactlinalg import (
     PrimeField, Rationals, Integers, Matrix, kernel, solve,
 )
 from homocat.modulecat import (
     Module, cyclic_algebra, regular_module, trivial_module, tensor_modules,
-    hom_basis,
+    direct_sum_modules, hom_basis,
 )
 from homocat.complexes import (
     Complex, ChainMap, Homotopy, Verdict, PASS, FAIL, INCONCLUSIVE,
@@ -16,7 +17,7 @@ from homocat.complexes import (
     solve_null_homotopy, is_contractible, homotopy_inverse,
     identity_map, zero_map, minimize, equivalent, hom_complex,
     restrict, complex_to_json, complex_from_json, maps_equal, bracket,
-    chain_map_space, _unit_at_one,
+    chain_map_space, _unit_at_one, _is_invertible, _spans,
 )
 
 F2 = PrimeField(2)
@@ -192,6 +193,33 @@ class TestHomotopy:
         assert v.status == FAIL
 
 
+def _random_cone(data):
+    """The cone of a random chain map between direct sums of shifted atoms,
+    copies of F = (A -> A -> unit) and the contractible A -> A, sometimes
+    tensored with F, over local, semisimple and rank-one algebras."""
+    ring, m = data.draw(st.sampled_from([(F2, 2), (F2, 4), (F3, 3), (Q, 2),
+                                         (Z, 1)]))
+    alg = cyclic_algebra(ring, m)
+    A, one = regular_module(alg), trivial_module(alg)
+    F = Complex(alg, 0, [A, A, one],
+                [A.x_action - Matrix.identity(ring, m),
+                 Matrix(ring, 1, m, [ring.one()] * m)])
+    pieces = [F, atom(A), atom(one), cone(identity_map(atom(A)))]
+
+    def summed():
+        out = zero_complex(alg)
+        for _ in range(data.draw(st.integers(1, 3))):
+            piece = data.draw(st.sampled_from(pieces))
+            out = direct_sum(out, shift(piece, data.draw(st.integers(-1, 1))))
+        return out
+    X, Y = summed(), summed()
+    f = zero_map(X, Y)
+    for b in chain_map_space(X, Y):
+        f = f + b.scale(data.draw(st.integers(-2, 2)))
+    c = cone(f)
+    return tensor(c, F) if data.draw(st.booleans()) else c
+
+
 class TestMinimize:
     @pytest.mark.parametrize("ring,m", [
         (F2, 2), (F2, 4), (F2, 8), (F3, 3), (F3, 9)])
@@ -253,6 +281,29 @@ class TestMinimize:
             assert maps_equal(bracket(full.h),
                               identity_map(c) - full.incl.compose(full.proj))
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_random_cones_leave_no_invertible_pair(self, data):
+        """Cones of random chain maps between sums of shifted pieces: the
+        retract identities hold and no block of the minimal differential
+        between summands of equal tag is invertible."""
+        c = _random_cone(data)
+        mr = minimize(c)
+        assert maps_equal(mr.proj.compose(mr.incl),
+                          identity_map(mr.minimal))
+        assert maps_equal(bracket(mr.h),
+                          identity_map(c) - mr.incl.compose(mr.proj))
+        assert homology(mr.minimal) == homology(c)
+        spans = {d: list(_spans([(t, 1 if t is None else t.dim)
+                                 for t in tags]))
+                 for d, tags in mr.blocks.items()}
+        for d, src in spans.items():
+            diff = mr.minimal.diff(d)
+            for stag, s in src:
+                for ttag, t in spans.get(d + 1, []):
+                    if stag == ttag:
+                        assert not _is_invertible(diff.submatrix(t, s))
+
     def test_minimize_over_z_rank_one(self):
         alg = cyclic_algebra(Z, 1)
         one = trivial_module(alg)
@@ -261,6 +312,17 @@ class TestMinimize:
         assert mr.minimal.is_zero()
         c2 = Complex(alg, 0, [one, one], [M(Z, [[4]])])
         assert minimize(c2).minimal == c2
+
+    def test_a_column_without_a_unit_gains_one_over_z(self):
+        # column 1 (two nonzeros, no unit) is tried first; cancelling
+        # column 0 against row 0 turns its 2 into 2 - 3 = -1
+        alg = cyclic_algebra(Z, 1)
+        one = trivial_module(alg)
+        c = Complex(alg, 0, [direct_sum_modules(one, one),
+                             direct_sum_modules(one, one, one)],
+                    [M(Z, [[1, 3], [1, 2], [1, 0]])])
+        mr = minimize(c)
+        assert [mr.minimal.term(d).dim for d in (0, 1)] == [0, 1]
 
 
 class TestEquivalent:

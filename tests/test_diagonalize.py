@@ -3,13 +3,15 @@ import pytest
 from homocat.exactlinalg import PrimeField
 from homocat.modulecat import trivial_module, regular_module
 from homocat.complexes import (
-    atom, shift, cone, PASS, FAIL,
+    atom, shift, cone, tensor, restrict, minimize, PASS, FAIL,
 )
+from homocat.cli import cyclic_scenario
 from homocat.eigen import Eigenmap, ScalarShift
 from homocat.interpolation import TruncationWindow, build_P
 from homocat.diagonalize import (
     verify_orthogonality, verify_idempotence,
     verify_decomposition_of_identity, tightness_spot_check,
+    _reduced, _window, _span_product,
 )
 
 from test_complexes import worked_example
@@ -94,3 +96,38 @@ class TestTightness:
         v = tightness_spot_check([ea, eb], [Pb, Pa], [atom(A), atom(one)])
         assert v.status == FAIL
         assert "biconditional" in v.reason
+
+
+# The minimal models of the windowed products that orthogonality and
+# idempotence judge, over F2 with the default edge 4, recorded from the
+# lexicographic elimination: degree -> exponents j of the (x + 1)^j
+# summands.  Pivot order may change the bases, never these.
+_STABLE = {d: [2] for d in range(-25, 0)}
+_WIDE = {d: [4] for d in range(-8, 0)}
+PRODUCT_MODELS = {
+    (2, 8, "ab"): {-24: [2] * 8},
+    (2, 8, "ba"): {-24: [2] * 8},
+    (2, 8, "bb"): {**_STABLE, -26: [2] * 8, -17: [1, 1], 0: [1]},
+    (4, 4, "ab"): {-8: [4] * 16},
+    (4, 4, "ba"): {-8: [4] * 16},
+    (4, 4, "bb"): {**_WIDE, -10: [4] * 14, -9: [1, 1], 0: [1]},
+}
+
+
+@pytest.mark.parametrize("key", sorted(PRODUCT_MODELS),
+                         ids=lambda k: "m%d-depth%d-%s" % k)
+def test_windowed_products_minimize_to_the_recorded_models(key):
+    m, depth, word = key
+    _, _, _, _, ea, eb = cyclic_scenario(F2, m)
+    w = TruncationWindow(depth, 4)
+    P = {"a": build_P([eb, ea], 1, w), "b": build_P([eb, ea], 0, w)}
+    x, y = P[word[0]], P[word[1]]
+    c = tensor(_reduced(x.complex), _reduced(y.complex))
+    spans = [(p.complex.min_deg, p.complex.max_deg) for p in (x, y)]
+    lo, hi, _, _ = _window(_span_product(spans), 2 * w.edge, "above")
+    mr = minimize(restrict(c, lo, hi))
+    got = {d: [t.j for t in tags] for d, tags in mr.blocks.items()}
+    assert got == PRODUCT_MODELS[key]
+    assert all(t.q == (1, 1) for tags in mr.blocks.values() for t in tags)
+    assert {d: mr.minimal.term(d).dim for d in mr.minimal.degrees()
+            if mr.minimal.term(d).dim} == {d: sum(js) for d, js in got.items()}

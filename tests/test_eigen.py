@@ -7,7 +7,7 @@ from homocat.modulecat import cyclic_algebra, regular_module, trivial_module
 from homocat.complexes import (
     Complex, ChainMap, atom, shift, direct_sum, tensor, tensor_maps, cone,
     homology, identity_map, minimize, homotopy_inverse, is_contractible,
-    Verdict, PASS, FAIL, INCONCLUSIVE,
+    maps_equal, bracket, Verdict, PASS, FAIL, INCONCLUSIVE,
 )
 from homocat.eigen import (
     ScalarShift, Eigenmap, ScalarMismatch, CompositeNotKilled,
@@ -112,6 +112,16 @@ class TestPD:
     def test_pd1_pair(self, ring):
         _, A, one, F, ea, eb = eigenmaps(ring)
         assert check_PD1([ea, eb]).passed
+
+    def test_pd1_witnesses_contract_each_ordering_over_z(self):
+        _, A, one, F, ea, eb = eigenmaps(Z)
+        v = check_PD1([eb, ea])
+        assert v.passed and set(v.witness) == {(0, 1), (1, 0)}
+        cones = [eigencone(eb), eigencone(ea)]
+        for (i, j), h in v.witness.items():
+            word = tensor(cones[i], cones[j])
+            assert h.src == word and h.tgt == word
+            assert maps_equal(bracket(h), identity_map(word))
 
     def test_pd1_single_alpha_fails(self):
         _, A, one, F, ea, eb = eigenmaps(F2)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homocat.exactlinalg import (
     GroundRing, PrimeField, Rationals, Integers, Matrix,
@@ -279,6 +280,81 @@ def test_two_x_equals_four_and_three():
     assert _reduce(Z, two.data, 1)[2], "leaves a residual"
     assert solve(two, M(Z, [[4]])) == M(Z, [[2]])
     assert solve(two, M(Z, [[3]])) is None
+
+
+def _row_scan_reduce(ring, rows, ncols):
+    """The reference for ``_reduce``: the same pivot rule (a unit in the
+    sparsest live row, the lowest row first among equals) found by scanning
+    every live row for each column, and cleared from every row."""
+    p = ring.p
+    integral = not ring.is_field
+    live = [dict(r) for r in rows if r]
+    pivots, prows = [], []
+    for c in range(ncols):
+        best = None
+        for i, r in enumerate(live):
+            v = r.get(c)
+            if v is not None and (not integral or v == 1 or v == -1) \
+                    and (best is None or len(r) < len(live[best])):
+                best = i
+        if best is None:
+            continue
+        prow = live.pop(best)
+        inv = ring.inv(prow[c])
+        if inv != 1:
+            prow = {j: ring.mul(inv, v) for j, v in prow.items()}
+        for rows_ in (prows, live):
+            for r in rows_:
+                f = r.get(c)
+                if f is None:
+                    continue
+                for j, v in prow.items():
+                    w = r.get(j, 0) - f * v
+                    if p:
+                        w %= p
+                    if w:
+                        r[j] = w
+                    else:
+                        del r[j]
+        pivots.append(c)
+        prows.append(prow)
+    return pivots, prows, [r for r in live if r]
+
+
+@st.composite
+def _sparse_systems(draw):
+    """(ring, rows, ncols): sparse rows with up to two right-hand-side
+    columns from ``ncols`` on; over Z some columns are scaled so that they
+    hold no unit."""
+    ring = draw(st.sampled_from([F2, PrimeField(3), Q, Z]))
+    ncols = draw(st.integers(0, 8))
+    width = ncols + draw(st.integers(0, 2))
+    doubled = draw(st.sets(st.integers(0, max(ncols - 1, 0))))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = {}
+        for j in draw(st.sets(st.integers(0, max(width - 1, 0)),
+                              max_size=width)):
+            num = draw(st.integers(-3, 3))
+            den = draw(st.integers(1, 3)) if ring == Q else 1
+            if ring == Z and j in doubled:
+                num *= 2
+            v = ring.coerce(Fraction(num, den))
+            if v:
+                row[j] = v
+        rows.append(row)
+    return ring, rows, ncols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(system=_sparse_systems())
+def test_reduce_matches_the_row_scan(system):
+    """The column-indexed elimination picks the same pivots in the same
+    order and leaves the same rows as a scan over every row."""
+    ring, rows, ncols = system
+    before = [dict(r) for r in rows]
+    assert _reduce(ring, rows, ncols) == _row_scan_reduce(ring, rows, ncols)
+    assert rows == before
 
 
 # -- the sparse Matrix against a dense reference ------------------------------

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from homocat.exactlinalg import PrimeField, Rationals, Integers
 from homocat.modulecat import trivial_module
 from homocat.complexes import (
-    ChainMap, atom, shift, tensor, cone, restrict, minimize,
-    is_contractible, PASS, FAIL, INCONCLUSIVE,
+    ChainMap, atom, shift, tensor, tensor_maps, cone, restrict, minimize,
+    identity_map, bracket, is_contractible, PASS, FAIL, INCONCLUSIVE,
 )
 from homocat.eigen import Eigenmap, ScalarShift
 from homocat.interpolation import (
@@ -349,6 +349,23 @@ class TestEigenaction:
         v = verify_eigenaction([eb, ea], 1, TruncationWindow(5, 8),
                                all_certs(), j=0)
         assert v.status == PASS
+
+    @pytest.mark.parametrize("ring,w", [(F2, TruncationWindow(5, 8)),
+                                        (Z, TruncationWindow(3, 8))],
+                             ids=["f2", "z"])
+    def test_witness_bounds_the_compared_maps_on_the_window(self, ring, w):
+        alg, A, one, F, ea, eb = eigenmaps(ring)
+        v = verify_eigenaction([eb, ea], 1, w, all_certs(), j=0)
+        assert v.status == PASS and set(v.witness) == {0}
+        tp = build_Cba(ea, eb, w)
+        compared = tensor_maps(eb.map, identity_map(tp.complex)) \
+            - tensor_maps(ea.map, periodicity_map(tp))
+        lo, hi = window_bounds(compared.tgt, w)
+        h = v.witness[0]
+        assert h.src == compared.src and h.tgt == compared.tgt and lo <= hi
+        assert any(not compared.comp(d).is_zero() for d in range(lo, hi + 1))
+        assert all(bracket(h).comp(d) == compared.comp(d)
+                   for d in range(lo, hi + 1))
 
     def test_zeroed_periodicity_fails(self):
         alg, A, one, F, ea, eb = eigenmaps(F2)
