@@ -13,8 +13,7 @@ from .exactlinalg import PrimeField, Rationals, Integers, Matrix
 from .modulecat import (cyclic_algebra, regular_module, trivial_module,
                         decompose, peval_scalar)
 from .complexes import (
-    Complex, ChainMap, atom, shift, tensor, cone, minimize,
-    is_contractible, restrict,
+    Complex, ChainMap, atom, shift, tensor, cone, minimize, is_contractible,
 )
 from .eigen import (
     ScalarShift, Eigenmap, is_eigenobject,
@@ -22,8 +21,7 @@ from .eigen import (
     mixed_eigencone, is_split_eigenobject,
 )
 from .interpolation import (
-    TruncationWindow, build_Cab, build_Cba, periodicity_map, window_bounds,
-    EMPTY_WINDOW,
+    TruncationWindow, build_Cab, build_Cba, periodicity_map, EMPTY_WINDOW,
     verify_compact_description, verify_P_koszul, build_P,
     quasi_idempotent_check, verify_eigenaction, check_ladder,
     SmallnessViolated,
@@ -31,6 +29,7 @@ from .interpolation import (
 from .diagonalize import (
     verify_orthogonality, verify_idempotence,
     verify_decomposition_of_identity, tightness_spot_check,
+    window_piece, interior_dims,
 )
 from .obstructions import (
     w_cycle, secondary_certificate, cones_commute_equivalence,
@@ -69,6 +68,12 @@ def cyclic_scenario(ring, m):
     ea = Eigenmap(ScalarShift(0), al)
     eb = Eigenmap(ScalarShift(-2), be)
     return alg, A, one, F, ea, eb
+
+
+def _cut(tp):
+    """(span, edge, direction): where window_piece cuts a truncation."""
+    c = tp.complex
+    return (c.min_deg, c.max_deg), tp.window.edge, tp.direction
 
 
 def _outcome(v, detail):
@@ -131,16 +136,15 @@ def _cyclic_checks(ring_name, m, depth, edge, seed, direction):
 
     def c_projector_form():
         Pa, Pb = projectors()
-        lo, hi = window_bounds(Pb.complex, w, direction=direction)
-        if lo >= hi:
+        piece = window_piece(Pb.complex, *_cut(Pb))
+        if piece is None:
             return INCONCLUSIVE, EMPTY_WINDOW
-        r = minimize(restrict(Pb.complex, lo, hi), retract=False).minimal
+        r, lo, hi = piece
         # a stable degree is the projective cover of the trivial module:
         # the summand of A on which x - 1 is nilpotent
         cover = next(t.dim for t in decompose(A).tags
                      if not peval_scalar(ring, t.q, ring.one()))
-        # judge only the degrees strictly inside the cut edge
-        bad = [d for d in range(lo + 1, hi + 1)
+        bad = [d for d in range(lo, hi + 1)
                if r.term(d).dim != (1 if d == hi else cover)]
         detail = ("one regular module per stable degree with the trivial "
                   "module on top")
@@ -150,12 +154,12 @@ def _cyclic_checks(ring_name, m, depth, edge, seed, direction):
 
     def c_orthogonality():
         Pa, Pb = projectors()
-        v = verify_orthogonality([Pa, Pb], direction=direction, seed=seed)
+        v = verify_orthogonality([Pa, Pb])
         return _outcome(v, "products of distinct projectors vanish")
 
     def c_idempotence():
         Pa, Pb = projectors()
-        v = verify_idempotence(Pb, direction=direction, seed=seed)
+        v = verify_idempotence(Pb, seed=seed)
         return _outcome(v, "projector squares to itself on the stable window")
 
     def c_decomposition():
@@ -166,8 +170,7 @@ def _cyclic_checks(ring_name, m, depth, edge, seed, direction):
     def c_tightness():
         Pa, Pb = projectors()
         v = tightness_spot_check([ea, eb], [Pa, Pb],
-                                 [atom(A), atom(one)],
-                                 direction=direction, seed=seed)
+                                 [atom(A), atom(one)], seed=seed)
         return _outcome(v, "projectors detect exactly the eigenobjects")
 
     def c_periodicity():
@@ -175,19 +178,12 @@ def _cyclic_checks(ring_name, m, depth, edge, seed, direction):
         check_ladder([eb, ea], direction)
         for build, e, sh in ((build_Cab, ea, 2), (build_Cba, eb, 0)):
             tp = build(ea, eb, w, direction=direction)
-            u = periodicity_map(tp)
-            lo, hi = window_bounds(tp.complex, w, direction=direction)
-            if lo >= hi:
+            got = window_piece(cone(periodicity_map(tp)), *_cut(tp))
+            if got is None:
                 return INCONCLUSIVE, EMPTY_WINDOW
-            r = minimize(restrict(cone(u), lo, hi), retract=False).minimal
             # the eigencone, cut at the same degrees and minimized the same way
-            expect = minimize(restrict(shift(cone(e.map), sh), lo, hi),
-                              retract=False).minimal
-            got = {d: r.term(d).dim for d in r.degrees()
-                   if r.term(d).dim and lo < d <= hi}
-            want = {d: expect.term(d).dim for d in expect.degrees()
-                    if expect.term(d).dim and lo < d <= hi}
-            if got != want:
+            want = window_piece(shift(cone(e.map), sh), *_cut(tp))
+            if interior_dims(got) != interior_dims(want):
                 return FAIL, "cone of the periodicity map is wrong"
         return PASS, "cone of the periodicity map is the eigencone"
 
@@ -204,7 +200,8 @@ def _cyclic_checks(ring_name, m, depth, edge, seed, direction):
         return _outcome(v, "projector matches its Koszul reconstruction")
 
     def c_eigenaction():
-        v = verify_eigenaction([eb, ea], 1, w, certificates(), j=0)
+        v = verify_eigenaction([eb, ea], 1, w, certificates(),
+                               direction=direction, j=0)
         return _outcome(v, "periodicity map realizes the scalar action")
 
     def c_quasi_idempotent():

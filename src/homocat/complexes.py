@@ -295,8 +295,8 @@ def identity_map(c):
                      for d in c.degrees()}, check=False)
 
 
-def zero_map(src, tgt, degree=0):
-    return ChainMap(src, tgt, degree, {}, check=False)
+def zero_map(src, tgt):
+    return ChainMap(src, tgt, 0, {}, check=False)
 
 
 class Homotopy(ChainMap):
@@ -448,7 +448,7 @@ def _hom_bases(src, tgt, degree):
         if src.term(d).dim and tgt.term(d + degree).dim:
             b = hom_basis(src.term(d), tgt.term(d + degree))
             if b:
-                bases[d] = [m.mat for m in b]
+                bases[d] = b
     return bases
 
 
@@ -571,11 +571,6 @@ class _Unknowns:
         return out
 
 
-def _in_window(d, equation_degrees):
-    return equation_degrees is None or \
-        equation_degrees[0] <= d <= equation_degrees[1]
-
-
 def solve_null_homotopy(f, equation_degrees=None):
     """Find h of degree |f|-1 with [d, h] = d h - (-1)^{|h|} h d = f.
 
@@ -595,19 +590,20 @@ def solve_null_homotopy(f, equation_degrees=None):
           ("h", d + 1, None, src.diff(d).scale(sgn))],
          f.comp(d))
         for d in range(src.min_deg - 1, src.max_deg + 2)
-        if _in_window(d, equation_degrees))
+        if equation_degrees is None
+        or equation_degrees[0] <= d <= equation_degrees[1])
     if sol is None:
         return Verdict(FAIL, reason="no null-homotopy exists")
     return Verdict(PASS, witness=Homotopy(src, tgt, hdeg, sol["h"]))
 
 
-def is_contractible(c, equation_degrees=None):
+def is_contractible(c):
     if c.is_zero():
         return Verdict(PASS, witness=None)
-    return solve_null_homotopy(identity_map(c), equation_degrees)
+    return solve_null_homotopy(identity_map(c))
 
 
-def homotopy_inverse(f, equation_degrees=None):
+def homotopy_inverse(f):
     """Find psi, h, h' with psi f = id + [d, h] and f psi = id + [d, h'].
 
     Verdict PASS carries (psi, h, h'); all three are found by one joint exact
@@ -623,8 +619,6 @@ def homotopy_inverse(f, equation_degrees=None):
     eqs = []
     for d in range(min(C.min_deg, D.min_deg) - 1,
                    max(C.max_deg, D.max_deg) + 2):
-        if not _in_window(d, equation_degrees):
-            continue
         fd = f.comp(d)
         # chain condition: d_C psi_d - psi_{d+1} d_D = 0
         eqs.append((C.term(d + 1).dim, D.term(d),
@@ -992,12 +986,12 @@ def _graded_tag_multisets(mr):
             for d, tags in mr.blocks.items()}
 
 
-def equivalent(c1, c2, candidate=None, seed=0xC0FFEE, equation_degrees=None):
+def equivalent(c1, c2, candidate=None, seed=0xC0FFEE):
     """Homotopy equivalence verdict: PASS with witness, FAIL with invariant
     mismatch, or INCONCLUSIVE (never upgraded to FAIL by a failed search)."""
     import random as _random
     if candidate is not None:
-        v = is_contractible(cone(candidate), equation_degrees)
+        v = is_contractible(cone(candidate))
         if v.passed:
             return Verdict(PASS, witness=candidate)
         return Verdict(FAIL, reason="candidate cone is not contractible")
@@ -1099,7 +1093,7 @@ def hom_complex(c, d):
             b = hom_basis(c.term(i), d.term(i + n)) \
                 if c.term(i).dim and d.term(i + n).dim else []
             if b:
-                lay.append((i, off, [m.mat for m in b]))
+                lay.append((i, off, b))
                 off += len(b)
         layouts[n] = lay
         bases[n] = off

@@ -15,7 +15,7 @@ from .complexes import (
 )
 from .convolutions import Poset, TwistedComplex, tot, zigzag_twisted
 from .interpolation import (
-    TruncatedPeriodic, canonical_map, DEFAULT_DIRECTION, EMPTY_WINDOW,
+    TruncatedPeriodic, canonical_map, stable_window, EMPTY_WINDOW,
 )
 
 
@@ -23,13 +23,29 @@ _BIG = 10 ** 9
 
 
 # -- window helpers ---------------------------------------------------------
+#
+# A truncation carries its window and direction; a plain complex is exact in
+# every degree (edge 0, no direction).
 
 def _complex_of(p):
     return p.complex if isinstance(p, TruncatedPeriodic) else p
 
 
+def _span(p):
+    c = _complex_of(p)
+    return c.min_deg, c.max_deg
+
+
 def _edge_of(p):
     return p.window.edge if isinstance(p, TruncatedPeriodic) else 0
+
+
+def _direction(ps):
+    """The direction of the truncations among ps, None if there are none;
+    the factors of one build_P family always share it."""
+    ds = {p.direction for p in ps if isinstance(p, TruncatedPeriodic)}
+    assert len(ds) <= 1, f"truncations disagree on the direction: {ds}"
+    return next(iter(ds), None)
 
 
 def _reduced(c):
@@ -41,40 +57,33 @@ def _reduced(c):
         return c
 
 
-def _piece(c, span, edge, direction):
+def window_piece(c, span, edge, direction):
     """Minimal model of the stable window plus the interior degree range.
 
     span is the (min_deg, max_deg) of the complex the window was declared
-    on; judgments use only degrees strictly inside the cut edge.  Returns
-    (minimal complex, interior lo, interior hi) or None for an empty window.
+    on, edge and direction its truncation's (edge 0: not a truncation, the
+    model is exact in every degree).  Returns (minimal complex, interior lo,
+    interior hi) or None for an empty window.
     """
     if edge == 0:
-        # not a truncation: the model is exact in every degree
         return _reduced(c), -_BIG, _BIG
-    lo, hi, ilo, ihi = _window(span, edge, direction)
+    lo, hi, ilo, ihi = stable_window(span, edge, direction)
     if ilo > ihi:
         return None
     r = minimize(restrict(c, lo, hi), retract=False).minimal
     return r, ilo, ihi
 
 
-def _window(span, edge, direction):
-    """(lo, hi, ilo, ihi): the stable window of a truncation spanning
-    ``span`` and its interior, the degrees strictly inside the cut edge."""
-    mn, mx = span
-    if direction == "above":
-        return mn + edge, mx, mn + edge + 1, mx
-    return mn, mx - edge, mn, mx - edge - 1
-
-
-def _empty_window(p, direction):
+def _empty_window(p):
     """Whether a truncated projector has no degree to be judged in."""
-    c = _complex_of(p)
-    _, _, ilo, ihi = _window((c.min_deg, c.max_deg), _edge_of(p), direction)
-    return _edge_of(p) > 0 and ilo > ihi
+    if not isinstance(p, TruncatedPeriodic):
+        return False
+    _, _, ilo, ihi = stable_window(_span(p), p.window.edge, p.direction)
+    return ilo > ihi
 
 
-def _interior_dims(piece):
+def interior_dims(piece):
+    """{degree: dimension} of a window piece's nonzero interior terms."""
     if piece is None:
         return {}
     r, ilo, ihi = piece
@@ -87,15 +96,21 @@ def _span_product(spans):
     return (sum(s[0] for s in spans), sum(s[1] for s in spans))
 
 
-def _product_piece(ps, direction):
-    """Stable-window piece of the tensor product of a list of idempotents,
-    with factors reduced first and edges added."""
-    spans = [(_complex_of(p).min_deg, _complex_of(p).max_deg) for p in ps]
-    edge = sum(_edge_of(p) for p in ps)
-    c = _reduced(_complex_of(ps[0]))
-    for p in ps[1:]:
-        c = tensor(c, _reduced(_complex_of(p)))
-    return _piece(c, _span_product(spans), edge, direction)
+def _factor(p):
+    """A tensor factor with its minimal model, reduced once per check."""
+    return p, _reduced(_complex_of(p))
+
+
+def _product_piece(fs):
+    """Stable-window piece of the tensor product of one or more reduced
+    factors (_factor): spans and edges add, the direction is the
+    factors'."""
+    ps = [p for p, _ in fs]
+    c = fs[0][1]
+    for _, r in fs[1:]:
+        c = tensor(c, r)
+    return window_piece(c, _span_product([_span(p) for p in ps]),
+                        sum(_edge_of(p) for p in ps), _direction(ps))
 
 
 def _equiv_on_common(p1, p2, seed):
@@ -118,17 +133,18 @@ def _equiv_on_common(p1, p2, seed):
 
 # -- orthogonality / idempotence --------------------------------------------
 
-def verify_orthogonality(ps, direction=DEFAULT_DIRECTION, seed=0xC0FFEE):
+def verify_orthogonality(ps):
     """Every mixed product, in both orders, must vanish on the stable
     window."""
+    fs = [_factor(p) for p in ps]
     for i in range(len(ps)):
         for j in range(len(ps)):
             if i == j:
                 continue
-            piece = _product_piece([ps[i], ps[j]], direction)
+            piece = _product_piece([fs[i], fs[j]])
             if piece is None:
                 return Verdict(INCONCLUSIVE, reason=EMPTY_WINDOW)
-            got = _interior_dims(piece)
+            got = interior_dims(piece)
             if got:
                 return Verdict(FAIL,
                                reason=f"product {i} (x) {j} is nonzero on "
@@ -136,16 +152,13 @@ def verify_orthogonality(ps, direction=DEFAULT_DIRECTION, seed=0xC0FFEE):
     return Verdict(PASS)
 
 
-def verify_idempotence(p, direction=DEFAULT_DIRECTION, seed=0xC0FFEE):
+def verify_idempotence(p, seed=0xC0FFEE):
     """P (x) P against P: exact for plain complexes, on the overlap of the
     stable windows for truncated ones."""
-    c = _complex_of(p)
+    f = _factor(p)
     if not isinstance(p, TruncatedPeriodic):
-        r = _reduced(c)
-        return equivalent(tensor(r, r), c, seed=seed)
-    sq = _product_piece([p, p], direction)
-    own = _piece(_reduced(c), (c.min_deg, c.max_deg), _edge_of(p), direction)
-    return _equiv_on_common(sq, own, seed)
+        return equivalent(tensor(f[1], f[1]), p, seed=seed)
+    return _equiv_on_common(_product_piece([f, f]), _product_piece([f]), seed)
 
 
 # -- decomposition of identity ----------------------------------------------
@@ -159,9 +172,7 @@ def _chain_poset(n):
     return Poset(range(n), rel)
 
 
-def verify_decomposition_of_identity(ps, connecting=None, window=None,
-                                     direction=DEFAULT_DIRECTION,
-                                     seed=0xC0FFEE):
+def verify_decomposition_of_identity(ps, connecting=None):
     """Total complex of the family must be the monoidal unit on the stable
     window.  For a pair of truncations of one interpolation pair the
     connecting map is built canonically; otherwise the degree-1 connecting
@@ -169,15 +180,15 @@ def verify_decomposition_of_identity(ps, connecting=None, window=None,
     verified twisted complex is attached as the witness."""
     if len(ps) == 1 and connecting is None:
         c = _complex_of(ps[0])
-        return equivalent(c, _unit(c.alg), seed=seed)
-    if any(_empty_window(p, direction) for p in ps):
+        return equivalent(c, _unit(c.alg))
+    if any(_empty_window(p) for p in ps):
         return Verdict(INCONCLUSIVE, reason=EMPTY_WINDOW)
     if (connecting is None and len(ps) == 2
             and all(isinstance(p, TruncatedPeriodic) for p in ps)
             and {ps[0].kind, ps[1].kind} == {"plain", "head"}):
         plain = ps[0] if ps[0].kind == "plain" else ps[1]
-        w = window if window is not None else plain.window
-        cm, htp = canonical_map(plain.a, plain.b, w, direction)
+        cm, htp = canonical_map(plain.a, plain.b, plain.window,
+                                plain.direction)
         t = zigzag_twisted([htp.complex, cm.src], [cm])
     elif connecting is None:
         return Verdict(INCONCLUSIVE,
@@ -187,8 +198,8 @@ def verify_decomposition_of_identity(ps, connecting=None, window=None,
         t = TwistedComplex(_chain_poset(len(ps)), layers, dict(connecting))
     full = tot(t)
     edge = max(_edge_of(p) for p in ps)
-    got = _interior_dims(_piece(_reduced(full), (full.min_deg, full.max_deg),
-                                edge, direction))
+    got = interior_dims(window_piece(_reduced(full), _span(full), edge,
+                                     _direction(ps)))
     if got == {0: 1}:
         return Verdict(PASS, witness=t)
     return Verdict(FAIL, witness=t,
@@ -197,17 +208,18 @@ def verify_decomposition_of_identity(ps, connecting=None, window=None,
 
 # -- tightness ----------------------------------------------------------------
 
-def tightness_spot_check(a_list, p_list, test_objects,
-                         direction=DEFAULT_DIRECTION, seed=0xC0FFEE):
+def tightness_spot_check(a_list, p_list, test_objects, seed=0xC0FFEE):
     """For each test object M and index i, the two sides of the eigenobject
     biconditional must agree: Cone(a_i) (x) M vanishes exactly when
     P_i (x) M returns M on the stable window."""
+    objects = [_factor(m) for m in test_objects]
     for i, (a, p) in enumerate(zip(a_list, p_list)):
         cn = cone(a.map)
-        for k, m in enumerate(test_objects):
-            killed = is_contractible(tensor(cn, _reduced(m))).passed
-            piece = _product_piece([p, m], direction)
-            mm = _reduced(m)
+        fp = _factor(p)
+        for k, fm in enumerate(objects):
+            mm = fm[1]
+            killed = is_contractible(tensor(cn, mm)).passed
+            piece = _product_piece([fp, fm])
             if piece is None:
                 return Verdict(INCONCLUSIVE,
                                reason=f"{EMPTY_WINDOW} for index {i}, "

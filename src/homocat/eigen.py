@@ -95,15 +95,13 @@ def _reduce_if_field(c):
 _contractible_cache = {}
 
 
-def _contractible(c, equation_degrees=None):
+def _contractible(c):
     """Contractibility test; over a field, simplify first (the verdict is a
-    homotopy invariant and the simplification is an exact retract).  Full
-    (non-windowed) verdicts are memoized by complex value."""
+    homotopy invariant and the simplification is an exact retract).
+    Verdicts are memoized by complex value."""
     c2 = _reduce_if_field(c)
     if c2.is_zero():
         return Verdict(PASS, witness=None)
-    if equation_degrees is not None:
-        return is_contractible(c2, equation_degrees)
     v = _contractible_cache.get(c2)
     if v is None:
         v = is_contractible(c2)
@@ -111,13 +109,13 @@ def _contractible(c, equation_degrees=None):
     return v
 
 
-def is_eigenobject(a, m, equation_degrees=None):
+def is_eigenobject(a, m):
     """PASS iff Cone(a) (x) M is contractible."""
     if isinstance(m, Complex):
         mc = m
     else:
         mc = atom(m)
-    return _contractible(tensor(eigencone(a), mc), equation_degrees)
+    return _contractible(tensor(eigencone(a), mc))
 
 
 def _word_product(cones, word):
@@ -159,16 +157,16 @@ def _word_contractible(cones, word):
     return _contractible(_word_product(cones, word))
 
 
-def check_PD1(maps, all_orderings=True):
+def check_PD1(maps):
     """Full tensor product of all eigencones is contractible, for every
-    ordering when requested.  A PASS carries {ordering: contraction}, as
+    ordering.  A PASS carries {ordering: contraction}, as
     _word_contractible found it (over a field, of the reduced product; None
     when that is zero)."""
     if len(maps) > 6:
         raise ValueError("at most 6 eigenmaps")
     cones = [eigencone(a) for a in maps]
     idx = list(range(len(maps)))
-    orders = list(permutations(idx)) if all_orderings else [tuple(idx)]
+    orders = list(permutations(idx))
     witness = {}
     for word in orders:
         v = _word_contractible(cones, word)

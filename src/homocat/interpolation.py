@@ -41,8 +41,8 @@ class TruncationWindow:
         self.depth = depth
         self.edge = edge
 
-    def deeper(self, extra=2):
-        return TruncationWindow(self.depth + extra, self.edge)
+    def deeper(self):
+        return TruncationWindow(self.depth + 2, self.edge)
 
     def __eq__(self, other):
         return (isinstance(other, TruncationWindow)
@@ -55,15 +55,25 @@ class TruncationWindow:
 EMPTY_WINDOW = "stable window is empty"
 
 
+def stable_window(span, edge, direction):
+    """(lo, hi, ilo, ihi): the stable window [lo, hi] of a truncation that
+    spans the degrees span = (min, max), and its interior [ilo, ihi], the
+    degrees strictly inside the cut edge.  A truncation above is cut at its
+    bottom, one below at its top; edge degrees next to the cut are left
+    out, and the cut degree lo (above) or hi (below) is not judged."""
+    mn, mx = span
+    if direction == "above":
+        return mn + edge, mx, mn + edge + 1, mx
+    return mn, mx - edge, mn, mx - edge - 1
+
+
 def window_bounds(c, w, direction=DEFAULT_DIRECTION):
     """Degree range of the stable window of a truncated complex."""
-    if direction == "above":
-        return (c.min_deg + w.edge, c.max_deg)
-    return (c.min_deg, c.max_deg - w.edge)
+    return stable_window((c.min_deg, c.max_deg), w.edge, direction)[:2]
 
 
-def window_restrict(c, w, direction=DEFAULT_DIRECTION):
-    lo, hi = window_bounds(c, w, direction)
+def window_restrict(c, w):
+    lo, hi = window_bounds(c, w)
     if lo > hi:
         return None
     return restrict(c, lo, hi)
@@ -127,6 +137,7 @@ def truncated_to_json(tp):
     obj["edge"] = tp.window.edge
     obj["period_shift"] = tp.period_shift
     obj["provenance"] = tp.provenance
+    obj["direction"] = tp.direction
     return obj
 
 
@@ -134,7 +145,8 @@ def truncated_from_json(alg, obj):
     cx = complex_from_json(alg, obj)
     w = TruncationWindow(obj["depth"], obj["edge"])
     return TruncatedPeriodic(cx, w, obj["period_shift"], obj["provenance"],
-                             kind="json", check=False)
+                             kind="json", direction=obj["direction"],
+                             check=False)
 
 
 # -- zigzag builders --------------------------------------------------------
@@ -320,18 +332,6 @@ def periodicity_map(tp):
 
 # -- triangle and the canonical decomposition map ---------------------------
 
-def _head_build(a, b, w, direction, flip=False):
-    if direction == "below":
-        return build_Cab(a, b, w, direction, flip)
-    return build_Cba(a, b, w, direction, flip)
-
-
-def _plain_build(a, b, w, direction, flip=False):
-    if direction == "below":
-        return build_Cba(a, b, w, direction, flip)
-    return build_Cab(a, b, w, direction, flip)
-
-
 def head_projection(tp):
     """Projection of a head-kind truncation onto its unit head layer."""
     if tp.kind != "head":
@@ -357,10 +357,11 @@ def _interior_plain(a, b, w):
 def canonical_map(a, b, w, direction=DEFAULT_DIRECTION):
     """The chain map (interior first truncation)[-1] -> second truncation
     whose cone realizes the unit: inclusion of everything except the head."""
-    htp = _head_build(a, b, w, direction)
     if direction == "below":
+        htp = build_Cab(a, b, w, direction)
         icx, ilayers = _interior_plain(b, a, w)
     else:
+        htp = build_Cba(a, b, w, direction)
         icx, ilayers = _interior_plain(a, b, w)
     src = shift(icx, -1)
     src_layers = [shift(L, -1) for L in ilayers]
@@ -397,7 +398,8 @@ def _cone_collapse(htp, ptp, cn, hmap_signed):
 
 def _stable(run, w):
     """Run a windowed judgment at depth and depth + 2; demand agreement and
-    matching homology tables on the shared interior window."""
+    matching homology tables on the overlap of the interiors the two runs
+    return with their complexes."""
     v1, t1 = run(w)
     v2, t2 = run(w.deeper())
     if v1.status == INCONCLUSIVE:
@@ -409,10 +411,8 @@ def _stable(run, w):
                        reason=f"depth {w.depth} gives {v1.status} but depth "
                               f"{w.depth + 2} gives {v2.status}")
     if t1 is not None and t2 is not None:
-        c1, lo1, hi1 = t1
-        c2, lo2, hi2 = t2
-        lo = max(lo1, lo2) + 1
-        hi = min(hi1, hi2)
+        (c1, lo1, hi1), (c2, lo2, hi2) = t1, t2
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
         h1 = {d: v for d, v in homology(c1).items() if lo <= d <= hi}
         h2 = {d: v for d, v in homology(c2).items() if lo <= d <= hi}
         if h1 != h2:
@@ -421,34 +421,29 @@ def _stable(run, w):
     return Verdict(v1.status, witness=v1.witness, reason=v1.reason)
 
 
-def triangle_check(a, b, w, direction=DEFAULT_DIRECTION, seed=0xC0FFEE):
-    """Cone of the head projection against the plain truncation, judged on
-    the stable window at the given depth and at depth + 2."""
+def triangle_check(a, b, w):
+    """Cone of the head projection against the plain truncation, both built
+    above, judged on the stable window of the degrees both of them span, at
+    the given depth and at depth + 2."""
 
     def run(wk):
-        htp = _head_build(a, b, wk, direction)
-        ptp = _plain_build(a, b, wk, direction)
-        pi = head_projection(htp)
-        cn = cone(pi)
-        bb = a if direction == "below" else b
-        hmap_signed = shift_map(bb.map, -bb.scalar.n)
+        htp = build_Cba(a, b, wk)
+        ptp = build_Cab(a, b, wk)
+        cn = cone(head_projection(htp))
         try:
-            phi = _cone_collapse(htp, ptp, cn, hmap_signed)
+            phi = _cone_collapse(htp, ptp, cn, shift_map(b.map, -b.scalar.n))
         except (ValueError, NotAChainMap):
             phi = None
-        lo1, hi1 = window_bounds(cn, wk, direction)
-        lo2, hi2 = window_bounds(ptp.complex, wk, direction)
-        if direction == "above":
-            lo, hi = max(lo1, lo2), max(hi1, hi2)
-        else:
-            lo, hi = min(lo1, lo2), min(hi1, hi2)
+        c = ptp.complex
+        lo, hi, ilo, ihi = stable_window(
+            (max(cn.min_deg, c.min_deg), min(cn.max_deg, c.max_deg)),
+            wk.edge, ptp.direction)
         if lo > hi:
             return Verdict(INCONCLUSIVE, reason=EMPTY_WINDOW), None
-        r1 = restrict(cn, lo, hi)
-        r2 = restrict(ptp.complex, lo, hi)
+        r2 = restrict(c, lo, hi)
         cand = restrict_map(phi, lo, hi) if phi is not None else None
-        v = equivalent(r1, r2, candidate=cand, seed=seed)
-        return v, (r2, lo, hi)
+        v = equivalent(restrict(cn, lo, hi), r2, candidate=cand)
+        return v, (r2, ilo, ihi)
     return _stable(run, w)
 
 
@@ -632,8 +627,7 @@ def build_K(maps, i, ordering=None):
     return out
 
 
-def quasi_idempotent_check(maps, i, certificates=None, candidate=None,
-                           seed=0xC0FFEE):
+def quasi_idempotent_check(maps, i, certificates=None):
     """K_i (x) K_i against the scalar-doubled K_i; requires obstruction
     certificates on file, otherwise inconclusive."""
     gate = _certs_verdict(maps, i, certificates)
@@ -650,7 +644,7 @@ def quasi_idempotent_check(maps, i, certificates=None, candidate=None,
         sc = direct_sum(shift(_unit_atom(alg), ni),
                         shift(_unit_atom(alg), maps[j].scalar.n + 1))
         rhs = tensor(sc, rhs)
-    return equivalent(lhs, rhs, candidate=candidate, seed=seed)
+    return equivalent(lhs, rhs)
 
 
 def _factor_builds(maps, i, w, direction):
@@ -774,12 +768,13 @@ def verify_eigenaction(maps, i, w, certificates=None,
         if m1.src != m2.src or m1.tgt != m2.tgt:
             return Verdict(FAIL, reason="induced maps live on different "
                                         "complexes"), None
-        lo, hi = window_bounds(m1.tgt, wk, direction)
+        lo, hi = window_bounds(m1.tgt, tp.window, tp.direction)
         if lo > hi:
             return Verdict(INCONCLUSIVE, reason=EMPTY_WINDOW), None
         v = solve_null_homotopy(m1 - m2, equation_degrees=(lo, hi))
-        clo, chi = window_bounds(C, wk, direction)
-        return v, (restrict(C, clo, chi), clo, chi)
+        clo, chi, cilo, cihi = stable_window((C.min_deg, C.max_deg),
+                                             tp.window.edge, tp.direction)
+        return v, (restrict(C, clo, chi), cilo, cihi)
 
     witness = {}
     for jj in js:

@@ -269,30 +269,6 @@ class Module:
         return f"Module(dim={self.dim})"
 
 
-class ModuleMap:
-    """An intertwiner: mat * x_src = x_tgt * mat."""
-
-    __slots__ = ("src", "tgt", "mat")
-
-    def __init__(self, src, tgt, mat, check=True):
-        if mat.rows != tgt.dim or mat.cols != src.dim:
-            raise ValueError("map shape must be tgt.dim x src.dim")
-        if check and not (mat * src.x_action - tgt.x_action * mat).is_zero():
-            raise ValueError("matrix is not an intertwiner")
-        self.src = src
-        self.tgt = tgt
-        self.mat = mat
-
-    def compose(self, other):
-        """self after other."""
-        if other.tgt is not self.src and other.tgt != self.src:
-            raise ValueError("composition mismatch")
-        return ModuleMap(other.src, self.tgt, self.mat * other.mat, check=False)
-
-    def __repr__(self):
-        return f"ModuleMap({self.src!r} -> {self.tgt!r})"
-
-
 @cache
 def zero_module(alg):
     """The zero module, one shared instance per algebra."""
@@ -362,7 +338,8 @@ def orbits(module):
 
 
 def hom_basis(src, tgt):
-    """Basis of Hom_A(src, tgt) as a list of ModuleMaps.
+    """Basis of Hom_A(src, tgt): a list of tgt.dim x src.dim matrices m
+    with m * x_src = x_tgt * m.
 
     Over Z the basis spans a saturated sublattice (it is the full kernel of an
     integer matrix), so integral coordinates of any intertwiner exist.
@@ -396,8 +373,7 @@ def hom_basis(src, tgt):
         rows = [{} for _ in range(tgt.dim)]
         for i, j in orbit:
             rows[i][j] = one
-        out.append(ModuleMap(src, tgt, check=False,
-                             mat=Matrix._of(ring, tgt.dim, src.dim, rows)))
+        out.append(Matrix._of(ring, tgt.dim, src.dim, rows))
     return out
 
 
@@ -413,8 +389,7 @@ def _kernel_hom_basis(src, tgt):
         rows = [{} for _ in range(tgt.dim)]
         for k, v in vec.items():
             rows[k // src.dim][k % src.dim] = v
-        out.append(ModuleMap(src, tgt, check=False,
-                             mat=Matrix._of(ring, tgt.dim, src.dim, rows)))
+        out.append(Matrix._of(ring, tgt.dim, src.dim, rows))
     return out
 
 

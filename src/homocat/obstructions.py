@@ -137,8 +137,7 @@ def bound_cycle(z):
     return solve_null_homotopy(z)
 
 
-def secondary_certificate(f, g, hs, ks, phis=None,
-                          subject=("cone(f)", "cone(g)")):
+def secondary_certificate(f, g, hs, ks, phis=None):
     """Full certificate for commuting Cone(f) past Cone(g): the h/k
     homotopies, the obstruction cycle, and a bounding homotopy for it."""
     z, v = z_cycle(f, g, hs, ks, phis)
@@ -153,7 +152,8 @@ def secondary_certificate(f, g, hs, ks, phis=None,
                   "h1": hs[1], "k1": ks[1]}
     obligations = list(_hk_obligations(f, g, phis).items())
     obligations.append(("l", z))
-    return CommutationCertificate(subject, homotopies, obligations), \
+    return CommutationCertificate(("cone(f)", "cone(g)"), homotopies,
+                                  obligations), \
         Verdict(PASS)
 
 
@@ -442,7 +442,7 @@ def scalar_commutation_defect(a):
         - tensor_maps(identity_map(F), g).compose(swap(g.src, F))
 
 
-def self_obstruction_certificate(a, subject=("map",)):
+def self_obstruction_certificate(a):
     """Certificate holding h with [d, h] = a F - F a and k bounding the
     self obstruction w = h (id (x) a); both found by exact solves."""
     g = a.map if hasattr(a, "map") else a
@@ -457,7 +457,7 @@ def self_obstruction_certificate(a, subject=("map",)):
     if not kv.passed:
         return None, Verdict(FAIL,
                              reason="self obstruction cycle is not bounded")
-    cert = CommutationCertificate(subject, {"h": h, "k": kv.witness},
+    cert = CommutationCertificate(("map",), {"h": h, "k": kv.witness},
                                   [("h", defect), ("k", w)])
     return cert, Verdict(PASS)
 

@@ -235,7 +235,7 @@ class TestMinimize:
             for _ in range(10):
                 g = Matrix.zeros(ring, s, s)
                 for b in basis:
-                    g = g + b.mat.scale(rng.randrange(ring.p))
+                    g = g + b.scale(rng.randrange(ring.p))
                 unit = solve(g, Matrix.identity(ring, s)) is not None
                 assert _unit_at_one(ring, (g[i, 0] for i in range(s))) \
                     == unit

@@ -7,11 +7,13 @@ from homocat.complexes import (
 )
 from homocat.cli import cyclic_scenario
 from homocat.eigen import Eigenmap, ScalarShift
-from homocat.interpolation import TruncationWindow, build_P
+from homocat.interpolation import (
+    TruncationWindow, build_Cab, build_P, stable_window,
+)
 from homocat.diagonalize import (
     verify_orthogonality, verify_idempotence,
     verify_decomposition_of_identity, tightness_spot_check,
-    _reduced, _window, _span_product,
+    _reduced, _span_product,
 )
 
 from test_complexes import worked_example
@@ -42,6 +44,12 @@ class TestOrthogonality:
     def test_projector_pair_is_orthogonal(self, setup):
         _, _, _, _, _, Pa, Pb = setup
         assert verify_orthogonality([Pa, Pb]).status == PASS
+
+    def test_factors_must_share_a_direction(self, setup):
+        _, _, _, ea, eb, Pa, _ = setup
+        below = build_Cab(ea, eb, TruncationWindow(3, 4), direction="below")
+        with pytest.raises(AssertionError, match="direction"):
+            verify_orthogonality([Pa, below])
 
     def test_repeated_projector_is_not_orthogonal(self, setup):
         _, _, _, _, _, Pa, _ = setup
@@ -124,7 +132,8 @@ def test_windowed_products_minimize_to_the_recorded_models(key):
     x, y = P[word[0]], P[word[1]]
     c = tensor(_reduced(x.complex), _reduced(y.complex))
     spans = [(p.complex.min_deg, p.complex.max_deg) for p in (x, y)]
-    lo, hi, _, _ = _window(_span_product(spans), 2 * w.edge, "above")
+    lo, hi, _, _ = stable_window(_span_product(spans), 2 * w.edge,
+                                 "above")
     mr = minimize(restrict(c, lo, hi))
     got = {d: [t.j for t in tags] for d, tags in mr.blocks.items()}
     assert got == PRODUCT_MODELS[key]

@@ -20,6 +20,8 @@ from homocat.interpolation import (
     verify_eigenaction,
 )
 
+from homocat.cli import cyclic_scenario
+
 from test_complexes import worked_example
 
 F2 = PrimeField(2)
@@ -367,6 +369,18 @@ class TestEigenaction:
         assert all(bracket(h).comp(d) == compared.comp(d)
                    for d in range(lo, hi + 1))
 
+    @pytest.mark.parametrize("m,w", [(2, TruncationWindow(8, 4)),
+                                     (4, TruncationWindow(6, 4))],
+                             ids=["m2", "m4"])
+    def test_below_is_judged_inside_its_own_cut(self, m, w):
+        # a truncation below is cut at its top: the homology compared
+        # across depths must leave out the cut degree there, not at the
+        # bottom
+        _, _, _, _, ea, eb = cyclic_scenario(F2, m)
+        v = verify_eigenaction([eb, ea], 1, w, all_certs(),
+                               direction="below", j=0)
+        assert v.status == PASS
+
     def test_zeroed_periodicity_fails(self):
         alg, A, one, F, ea, eb = eigenmaps(F2)
         v = verify_eigenaction([eb, ea], 1, TruncationWindow(5, 8),
@@ -394,6 +408,13 @@ class TestSerialization:
         assert tp2.window == tp.window
         assert tp2.period_shift == tp.period_shift
         assert tp2.provenance == tp.provenance
+        assert tp2.direction == tp.direction
+
+    def test_round_trip_keeps_the_direction(self):
+        alg, A, one, F, ea, eb = eigenmaps(F2)
+        tp = build_Cab(ea, eb, TruncationWindow(3, 4), direction="below")
+        blob = json.dumps(truncated_to_json(tp))
+        assert truncated_from_json(alg, json.loads(blob)).direction == "below"
 
     def test_deserialized_builds_have_no_layer_data(self):
         alg, A, one, F, ea, eb = eigenmaps(F2)
