@@ -484,6 +484,12 @@ class _Unknowns:
         the first column of each x-orbit: x^k e_j is a basis vector, and
         when both sides are A-linear they agree on it once they agree on
         e_j.  With every_column, or for other modules, every column is.
+
+        A term is assembled from the nonzeros of its basis matrices: entry
+        (i, j) of left * bm * right is the sum of lv * bv * rv over
+        left[i, r] = lv, bm[r, c] = bv and right[c, j] = rv, so left is
+        indexed by column and right restricted to the imposed columns once
+        per term.
         """
         p = self.ring.p
         a, b = [], []
@@ -494,22 +500,48 @@ class _Unknowns:
             eqs = [{} for _ in range(rows * width)]
             for name, d, left, right in terms:
                 off, basis = self.groups[name][3].get(d, (0, ()))
-                if basis and right is not None:
-                    right = _cols(right, cols)
+                if not basis:
+                    continue
+                if right is None:
+                    rrows = {c: ((j, 1),) for j, c in enumerate(cols)}
+                else:
+                    pos = {c: j for j, c in enumerate(cols)}
+                    rrows = {}
+                    for k, row in enumerate(right.data):
+                        hit = [(pos[c], v) for c, v in row.items() if c in pos]
+                        if hit:
+                            rrows[k] = hit
+                if left is None:
+                    lcols = {r: ((r * width, 1),) for r in range(rows)}
+                else:
+                    lcols = {}
+                    for i, row in enumerate(left.data):
+                        for k, v in row.items():
+                            lcols.setdefault(k, []).append((i * width, v))
                 for col, bm in enumerate(basis, off):
-                    m = _cols(bm, cols) if right is None else bm * right
-                    if left is not None:
-                        m = left * m
-                    for r, row in enumerate(m.data):
-                        for c, v in row.items():
-                            eq = eqs[r * width + c]
-                            w = eq.get(col, 0) + v
-                            if p:
-                                w %= p
-                            if w:
-                                eq[col] = w
-                            else:
-                                del eq[col]
+                    acc = {}
+                    for r, row in enumerate(bm.data):
+                        ls = lcols.get(r)
+                        if ls is None:
+                            continue
+                        for c, bv in row.items():
+                            rs = rrows.get(c)
+                            if rs is None:
+                                continue
+                            for base, lv in ls:
+                                lb = lv * bv
+                                for j, rv in rs:
+                                    e = base + j
+                                    acc[e] = acc.get(e, 0) + lb * rv
+                    for e, v in acc.items():
+                        eq = eqs[e]
+                        w = eq.get(col, 0) + v
+                        if p:
+                            w %= p
+                        if w:
+                            eq[col] = w
+                        else:
+                            eq.pop(col, None)
             a.extend(eqs)
             b.extend({0: row[c]} if c in row else {}
                      for row in (rhs.data if rhs is not None else ({},) * rows)
@@ -557,18 +589,24 @@ class _Unknowns:
     def comps(self, name, x, j=0):
         """Components {degree: Matrix} given by column j of x."""
         src, tgt, degree, cols = self.groups[name]
-        ring = self.ring
-        zero = ring.zero()
         out = {}
         for d, (off, basis) in cols.items():
-            m = Matrix.zeros(ring, tgt.term(d + degree).dim, src.term(d).dim)
-            for bi, bm in enumerate(basis):
-                cval = x[off + bi, j]
-                if cval != zero:
-                    m = m + bm.scale(cval)
+            m = _combination(self.ring, tgt.term(d + degree).dim,
+                             src.term(d).dim,
+                             ((x[off + bi, j], bm)
+                              for bi, bm in enumerate(basis)))
             if not m.is_zero():
                 out[d] = m
         return out
+
+
+def _combination(ring, rows, cols, terms):
+    """The sum of c * m over the (c, m) of terms, placed in one pass over the
+    nonzeros of the matrices whose ring coefficient c is nonzero."""
+    mul = ring.mul
+    return Matrix._placed(ring, rows, cols, (
+        (r, k, mul(c, v)) for c, m in terms if c
+        for r, row in enumerate(m.data) for k, v in row.items()))
 
 
 def solve_null_homotopy(f, equation_degrees=None):
@@ -1023,14 +1061,23 @@ def equivalent(c1, c2, candidate=None, seed=0xC0FFEE):
     rng = _random.Random(seed)
     n = len(space)
     p = ring.p
+    # candidates that agree on the elements nonzero in a degree share the
+    # component there and its invertibility
+    support = {d: [(i, b.comps[d]) for i, b in enumerate(space)
+                   if d in b.comps] for d in degs}
+    seen = {d: {} for d in degs}
 
     def component(coeffs, d):
-        m = Matrix.zeros(ring, m2.minimal.term(d).dim, m1.minimal.term(d).dim)
-        for cf, b in zip(coeffs, space):
-            if cf:
-                bd = b.comp(d)
-                m = m + (bd if cf == 1 else bd.scale(ring.coerce(cf)))
-        return m
+        """(component in degree d, whether it is invertible)."""
+        key = tuple(coeffs[i] for i, _ in support[d])
+        got = seen[d].get(key)
+        if got is None:
+            m = _combination(ring, m2.minimal.term(d).dim,
+                             m1.minimal.term(d).dim,
+                             ((ring.coerce(cf), bd)
+                              for cf, (_, bd) in zip(key, support[d])))
+            got = seen[d][key] = (m, _is_invertible(m))
+        return got
 
     if ring.kind == "fp" and p ** n <= 2 ** 16:
         # every nonzero coefficient vector, lowest digit first, made lazily
@@ -1048,8 +1095,8 @@ def equivalent(c1, c2, candidate=None, seed=0xC0FFEE):
         tried.add(cf)
         comps = {}
         for d in degs:
-            comps[d] = component(cf, d)
-            if not _is_invertible(comps[d]):
+            comps[d], invertible = component(cf, d)
+            if not invertible:
                 break
         else:
             f = ChainMap(m1.minimal, m2.minimal, 0, comps, check=False)

@@ -34,11 +34,15 @@ class Poset:
         for (a, b) in rel:
             if a not in es or b not in es:
                 raise ValueError("relation mentions unknown element")
-        # transitivity is required, not inferred
+        # transitivity is required, not inferred: a <= b needs every
+        # successor of b to be one of a
+        succ = {e: set() for e in es}
         for (a, b) in rel:
-            for (c, d) in rel:
-                if b == c and (a, d) not in rel:
-                    raise ValueError(f"relation not transitive: {a}<={b}<={d}")
+            succ[a].add(b)
+        for (a, b) in rel:
+            if not succ[b] <= succ[a]:
+                d = next(d for (c, d) in rel if c == b and (a, d) not in rel)
+                raise ValueError(f"relation not transitive: {a}<={b}<={d}")
         for (a, b) in rel:
             if a != b and (b, a) in rel:
                 raise ValueError(f"relation not antisymmetric: {a},{b}")

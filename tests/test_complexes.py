@@ -8,7 +8,7 @@ from homocat.exactlinalg import (
 )
 from homocat.modulecat import (
     Module, cyclic_algebra, regular_module, trivial_module, tensor_modules,
-    direct_sum_modules, hom_basis,
+    direct_sum_modules, hom_basis, orbits,
 )
 from homocat.complexes import (
     Complex, ChainMap, Homotopy, Verdict, PASS, FAIL, INCONCLUSIVE,
@@ -17,8 +17,10 @@ from homocat.complexes import (
     solve_null_homotopy, is_contractible, homotopy_inverse,
     identity_map, zero_map, minimize, equivalent, hom_complex,
     restrict, complex_to_json, complex_from_json, maps_equal, bracket,
-    chain_map_space, _unit_at_one, _is_invertible, _spans,
+    chain_map_space, _unit_at_one, _is_invertible, _spans, _Unknowns,
 )
+from homocat.interpolation import build_K
+from homocat.cli import cyclic_scenario
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -325,7 +327,167 @@ class TestMinimize:
         assert [mr.minimal.term(d).dim for d in (0, 1)] == [0, 1]
 
 
+def _system_modules(ring, m):
+    """Permutation modules and one module on which x is not a permutation
+    (a Jordan block, or diag(1, -1) plus a nilpotent part when m = 2)."""
+    alg = cyclic_algebra(ring, m)
+    A, one = regular_module(alg), trivial_module(alg)
+    x = M(ring, [[1, 1], [0, -1]]) if m == 2 else \
+        M(ring, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    N = Module(alg, m, x)
+    return [A, one, direct_sum_modules(A, one), N, direct_sum_modules(one, N)]
+
+
+class TestSystem:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_rows_are_left_times_basis_times_right(self, data):
+        """Each column of A is the basis element bm of its unknown carried
+        through every term as left * bm * right, read on the imposed
+        columns; b is the right-hand side read on the same columns."""
+        ring, m = data.draw(st.sampled_from([(F2, 2), (F3, 3), (Z, 2),
+                                             (Q, 2)]))
+        pool = _system_modules(ring, m)
+        pick = st.sampled_from(pool)
+        u = _Unknowns(ring, [(name, atom(data.draw(pick)),
+                              atom(data.draw(pick)), 0) for name in "fg"])
+
+        def sparse(rows, cols):
+            return Matrix(ring, rows, cols, data.draw(st.lists(
+                st.sampled_from([0, 0, 0, 1, -1, 2]),
+                min_size=rows * cols, max_size=rows * cols)))
+
+        equations = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            names = data.draw(st.lists(st.sampled_from("fg"), min_size=1,
+                                       max_size=2))
+            ends = [(u.groups[n][0].term(0), u.groups[n][1].term(0))
+                    for n in names]
+            rows = data.draw(st.sampled_from([t.dim for _, t in ends] + [2]))
+            src = data.draw(st.sampled_from(pool + [s for s, _ in ends]))
+            terms = []
+            for name, (s, t) in zip(names, ends):
+                left = None if rows == t.dim and data.draw(st.booleans()) \
+                    else sparse(rows, t.dim)
+                right = None if src.dim == s.dim and data.draw(st.booleans()) \
+                    else sparse(s.dim, src.dim)
+                terms.append((name, 0, left, right))
+            rhs = sparse(rows, src.dim) if data.draw(st.booleans()) else None
+            equations.append((rows, src, terms, rhs))
+        every_column = data.draw(st.booleans())
+        A, b = u.system(equations, every_column)
+
+        cells, rhs_entries, top = [], [], 0
+        for rows, src, terms, rhs in equations:
+            orbs = None if every_column else orbits(src)
+            cols = range(src.dim) if orbs is None else [o[0] for o in orbs]
+            for name, d, left, right in terms:
+                off, basis = u.groups[name][3].get(d, (0, ()))
+                for col, bm in enumerate(basis, off):
+                    prod = bm if left is None else left * bm
+                    if right is not None:
+                        prod = prod * right
+                    cells += [(top + r * len(cols) + j, col, prod[r, c])
+                              for r in range(rows)
+                              for j, c in enumerate(cols)]
+            rhs_entries += [ring.zero() if rhs is None else rhs[r, c]
+                            for r in range(rows) for c in cols]
+            top += rows * len(cols)
+        assert A == Matrix._placed(ring, top, u.ncols, cells)
+        assert b == Matrix(ring, top, 1, rhs_entries)
+
+
+def _search_without_memo(c1, c2, seed=0xC0FFEE):
+    """The witness of equivalent's isomorphism search, or None: the same
+    candidates in the same order, each component summed basis element by
+    basis element and tested afresh."""
+    ring = c1.alg.ring
+    m1, m2 = minimize(c1), minimize(c2)
+    space = chain_map_space(m1.minimal, m2.minimal, 0)
+    degs = [d for d in sorted(set(m1.minimal.degrees())
+                              | set(m2.minimal.degrees()))
+            if m1.minimal.term(d).dim]
+    n, p = len(space), ring.p
+    if ring.kind == "fp" and p ** n <= 2 ** 16:
+        attempts = (tuple(idx // p ** k % p for k in range(n))
+                    for idx in range(1, p ** n))
+    else:
+        rng = random.Random(seed)
+        attempts = (tuple(rng.randrange(-3, 4) for _ in range(n))
+                    for _ in range(64))
+    tried = set()
+    for cf in attempts:
+        if cf in tried or not any(cf):
+            continue
+        tried.add(cf)
+        comps = {}
+        for d in degs:
+            m = Matrix.zeros(ring, m2.minimal.term(d).dim,
+                             m1.minimal.term(d).dim)
+            for c, b in zip(cf, space):
+                m = m + b.comp(d).scale(c)
+            comps[d] = m
+            if not _is_invertible(m):
+                break
+        else:
+            f = ChainMap(m1.minimal, m2.minimal, 0, comps, check=False)
+            return m2.incl.compose(f).compose(m1.proj)
+    return None
+
+
+def _ladder(ring, diffs):
+    """The two-term complex Z^n -> Z^n (or k^n) over k[x]/(x - 1) with the
+    given differential rows."""
+    alg = cyclic_algebra(ring, 1)
+    one = trivial_module(alg)
+    n = len(diffs)
+    term = direct_sum_modules(*[one] * n)
+    return Complex(alg, 0, [term, term], [M(ring, diffs)])
+
+
 class TestEquivalent:
+    def test_shared_components_keep_the_witness_over_f2(self):
+        # the quasi_idempotent pair of the cyclic demo at m = 4
+        alg, _, one, _, ea, eb = cyclic_scenario(F2, 4)
+        K = build_K([eb, ea], 1)
+        unit = atom(one)
+        lhs = tensor(K, K)
+        rhs = tensor(direct_sum(shift(unit, ea.scalar.n),
+                                shift(unit, eb.scalar.n + 1)), K)
+        v = equivalent(lhs, rhs)
+        want = _search_without_memo(lhs, rhs)
+        assert v.passed and want is not None
+        assert v.witness.comps.keys() == want.comps.keys()
+        for d, m in want.comps.items():
+            assert v.witness.comps[d] == m
+
+    def test_shared_components_keep_the_witness_over_z(self):
+        # minimal models that differ, so the random draws run
+        X = _ladder(Z, [[2, 0], [0, 4]])
+        Y = _ladder(Z, [[4, 2], [0, 2]])
+        v = equivalent(X, Y)
+        want = _search_without_memo(X, Y)
+        assert v.passed and want is not None
+        assert v.witness.comps.keys() == want.comps.keys()
+        for d, m in want.comps.items():
+            assert v.witness.comps[d] == m
+
+    def test_no_isomorphism_stays_inconclusive(self):
+        # over F2[x]/(x - 1)^2 both differentials on A + k have rank one,
+        # but x - 1 on A leaves the kernel k + k and the inclusion of k into
+        # A leaves the kernel A: same homology and summands, no isomorphism
+        alg = cyclic_algebra(F2, 2)
+        A, one = regular_module(alg), trivial_module(alg)
+        term = direct_sum_modules(A, one)
+        X = Complex(alg, 0, [term, term],
+                    [M(F2, [[1, 1, 0], [1, 1, 0], [0, 0, 0]])])
+        Y = Complex(alg, 0, [term, term],
+                    [M(F2, [[0, 0, 1], [0, 0, 1], [0, 0, 0]])])
+        v = equivalent(X, Y)
+        assert v.status == INCONCLUSIVE
+        assert v.reason == "no isomorphism found by search"
+        assert _search_without_memo(X, Y) is None
+
     def test_g_squared_is_f(self):
         _, A, one, F, _, _ = worked_example(F2)
         aug = M(F2, [[1, 1]])
